@@ -10,17 +10,18 @@
 //! bit-identical to the corresponding library/CLI output.
 
 use accel_sim::{ArchConfig, DramConfig, ExecutionTrace, SimStats, TraceOptions};
-use clb_core::{
-    Accelerator, ArchSweepEntry, LayerReport, NetworkReport, Objective, OnChipMemory,
-    StagedProgress, SweepCost,
-};
 use clb_core::network_caps;
+use clb_core::{Accelerator, LayerReport, NetworkReport, OnChipMemory};
 use conv_model::workloads::Network;
 use conv_model::{workloads, ConvLayer, Padding};
 use dataflow::{found_minimum, search_dataflow, DataflowChoice, DataflowKind, Tiling};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::http::Response;
+
+mod dse;
+
+pub use dse::*;
 
 /// Upper bounds on request dimensions, so a single hostile query cannot
 /// park a worker on an astronomically large search. Generous: the largest
@@ -101,6 +102,20 @@ fn get_field<'a>(v: &'a Value, name: &str) -> Result<Option<&'a Value>, ApiError
             "request body must be a JSON object".to_string(),
         )),
     }
+}
+
+/// The first key of the object `v` that is not in `known` (`None` for
+/// non-objects, whose shape error the caller reports). Request objects
+/// refuse unknown keys with a 400: with most fields optional, a typo would
+/// otherwise silently analyze the defaults.
+fn unknown_key<'a>(v: &'a Value, known: &[&str]) -> Option<&'a str> {
+    let Value::Object(fields) = v else {
+        return None;
+    };
+    fields
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .find(|key| !known.contains(key))
 }
 
 fn require<T: Deserialize>(v: &Value, name: &str) -> Result<T, ApiError> {
@@ -245,35 +260,31 @@ pub fn arch_from_value(v: &Value) -> Result<ArchConfig, ApiError> {
         "core_freq_hz",
         "dram",
     ];
-    let Value::Object(fields) = v else {
+    if !matches!(v, Value::Object(_)) {
         return Err(ApiError::BadRequest(
             "`arch` must be a JSON object".to_string(),
         ));
-    };
-    for (key, _) in fields {
-        if !ARCH_KEYS.contains(&key.as_str()) {
-            return Err(ApiError::BadRequest(format!(
-                "unknown arch field `{key}` (expected one of {})",
-                ARCH_KEYS.join(", ")
-            )));
-        }
+    }
+    if let Some(key) = unknown_key(v, &ARCH_KEYS) {
+        return Err(ApiError::BadRequest(format!(
+            "unknown arch field `{key}` (expected one of {})",
+            ARCH_KEYS.join(", ")
+        )));
     }
     let base = ArchConfig::implementation(1);
     let dram = match get_field(v, "dram")? {
         None | Some(Value::Null) => base.dram,
         Some(d) => {
-            let Value::Object(dram_fields) = d else {
+            if !matches!(d, Value::Object(_)) {
                 return Err(ApiError::BadRequest(
                     "`arch.dram` must be a JSON object".to_string(),
                 ));
-            };
-            for (key, _) in dram_fields {
-                if key != "bandwidth_bytes_per_s" && key != "latency_cycles" {
-                    return Err(ApiError::BadRequest(format!(
-                        "unknown arch.dram field `{key}` \
-                         (expected bandwidth_bytes_per_s, latency_cycles)"
-                    )));
-                }
+            }
+            if let Some(key) = unknown_key(d, &["bandwidth_bytes_per_s", "latency_cycles"]) {
+                return Err(ApiError::BadRequest(format!(
+                    "unknown arch.dram field `{key}` \
+                     (expected bandwidth_bytes_per_s, latency_cycles)"
+                )));
             }
             DramConfig {
                 bandwidth_bytes_per_s: optional(
@@ -363,6 +374,25 @@ fn render<T: Serialize>(value: &T) -> Result<String, ApiError> {
     serde_json::to_string_pretty(value).map_err(|e| ApiError::Internal(e.to_string()))
 }
 
+/// Recursively sorts object keys so two spellings of the same JSON value
+/// render to the same canonical string (the shim's `Value::Object`
+/// preserves client field order) — the basis of the server's response-cache
+/// key and of [`dse_job_id`].
+pub(crate) fn canonical_value(v: &Value) -> Value {
+    match v {
+        Value::Object(fields) => {
+            let mut sorted: Vec<(String, Value)> = fields
+                .iter()
+                .map(|(k, val)| (k.clone(), canonical_value(val)))
+                .collect();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            Value::Object(sorted)
+        }
+        Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),
+        other => other.clone(),
+    }
+}
+
 /// How `/v1/simulate` and `/v1/plan` render a requested execution trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -401,14 +431,12 @@ const TRACE_KEYS: [&str; 2] = ["format", "expand"];
 fn parse_trace_request(v: &Value) -> Result<Option<TraceRequest>, ApiError> {
     let obj = match get_field(v, "trace")? {
         None | Some(Value::Null) => return Ok(None),
-        Some(obj @ Value::Object(fields)) => {
-            for (key, _) in fields {
-                if !TRACE_KEYS.contains(&key.as_str()) {
-                    return Err(ApiError::BadRequest(format!(
-                        "unknown `trace` field `{key}` (allowed: {})",
-                        TRACE_KEYS.join(", ")
-                    )));
-                }
+        Some(obj @ Value::Object(_)) => {
+            if let Some(key) = unknown_key(obj, &TRACE_KEYS) {
+                return Err(ApiError::BadRequest(format!(
+                    "unknown `trace` field `{key}` (allowed: {})",
+                    TRACE_KEYS.join(", ")
+                )));
             }
             obj
         }
@@ -788,18 +816,16 @@ impl NetLayerSpec {
     /// with the layer's position.
     fn from_value(v: &Value, index: usize) -> Result<Self, ApiError> {
         let at = |e: ApiError| e.prefixed(&format!("layers[{index}]"));
-        let Value::Object(fields) = v else {
+        if !matches!(v, Value::Object(_)) {
             return Err(ApiError::BadRequest(format!(
                 "layers[{index}] must be a JSON object"
             )));
-        };
-        for (key, _) in fields {
-            if !NETWORK_LAYER_KEYS.contains(&key.as_str()) {
-                return Err(ApiError::BadRequest(format!(
-                    "layers[{index}]: unknown layer field `{key}` (expected one of {})",
-                    NETWORK_LAYER_KEYS.join(", ")
-                )));
-            }
+        }
+        if let Some(key) = unknown_key(v, &NETWORK_LAYER_KEYS) {
+            return Err(ApiError::BadRequest(format!(
+                "layers[{index}]: unknown layer field `{key}` (expected one of {})",
+                NETWORK_LAYER_KEYS.join(", ")
+            )));
         }
         let name: String = optional(v, "name", format!("conv{}", index + 1)).map_err(at)?;
         let co: usize = require(v, "co").map_err(at)?;
@@ -969,20 +995,18 @@ impl NetLayerSpec {
 /// ill-typed fields, missing geometry); [`ApiError::Unprocessable`] on any
 /// cap violation, naming the violated invariant.
 pub fn network_from_value(v: &Value) -> Result<(Network, usize), ApiError> {
-    let Value::Object(fields) = v else {
+    if !matches!(v, Value::Object(_)) {
         return Err(ApiError::BadRequest(
             "a custom network must be a JSON object \
              {\"name\", \"batch\", \"layers\": [...]}"
                 .to_string(),
         ));
-    };
-    for (key, _) in fields {
-        if !NETWORK_KEYS.contains(&key.as_str()) {
-            return Err(ApiError::BadRequest(format!(
-                "unknown network field `{key}` (expected one of {})",
-                NETWORK_KEYS.join(", ")
-            )));
-        }
+    }
+    if let Some(key) = unknown_key(v, &NETWORK_KEYS) {
+        return Err(ApiError::BadRequest(format!(
+            "unknown network field `{key}` (expected one of {})",
+            NETWORK_KEYS.join(", ")
+        )));
     }
     let name: String = optional(v, "name", "custom".to_string())?;
     let batch: usize = optional(v, "batch", 3)?;
@@ -1089,1071 +1113,6 @@ pub fn network_response(v: &Value) -> Result<String, ApiError> {
         .analyze_network(&net)
         .map_err(|e| ApiError::Unprocessable(e.to_string()))?;
     render(&report)
-}
-
-/// One candidate's entry in a [`DseResponse`]: the architecture plus either
-/// the full plan/simulate/bound/energy report (with its headline cycle
-/// count pulled up) or the typed reason the candidate cannot run the layer.
-#[derive(Debug, Clone, Serialize)]
-pub struct DseEntry {
-    /// The evaluated candidate architecture.
-    pub arch: ArchConfig,
-    /// Total execution cycles, `null` when infeasible.
-    pub total_cycles: Option<u64>,
-    /// Execution time at the candidate's core clock, `null` when infeasible.
-    pub seconds: Option<f64>,
-    /// The full layer report — exactly what `/v1/plan` returns for this
-    /// `arch` — or `null` when infeasible.
-    pub report: Option<LayerReport>,
-    /// Why the candidate cannot run the layer, `null` when feasible.
-    pub error: Option<String>,
-}
-
-/// `POST /v1/dse` — a capped candidate-architecture sweep over one layer
-/// (the custom-design what-if engine; mirrors `clb dse`).
-///
-/// Results are sorted canonically (feasible first by cycles, traffic, then
-/// the architecture's total order) and duplicates are collapsed, so the
-/// response is byte-identical no matter how the request enumerated its
-/// candidates.
-#[derive(Debug, Clone, Serialize)]
-pub struct DseResponse {
-    /// Echo of the analyzed layer.
-    pub layer: ConvLayer,
-    /// Candidates named by the request (before deduplication).
-    pub submitted: usize,
-    /// Distinct candidates evaluated.
-    pub unique: usize,
-    /// How many candidates can run the layer.
-    pub feasible: usize,
-    /// Per-candidate results, canonically ordered.
-    pub results: Vec<DseEntry>,
-}
-
-/// One candidate's entry in a [`DseNetworkResponse`]: the architecture plus
-/// either the full per-network report (per-layer plans, simulated
-/// cycles/traffic/utilization and aggregated totals — exactly what
-/// `/v1/network` returns for this `arch`) or the typed reason the candidate
-/// cannot run the model.
-#[derive(Debug, Clone, Serialize)]
-pub struct DseNetworkEntry {
-    /// The evaluated candidate architecture.
-    pub arch: ArchConfig,
-    /// Total execution cycles over all layers, `null` when infeasible.
-    pub total_cycles: Option<u64>,
-    /// End-to-end execution time at the candidate's core clock, `null`
-    /// when infeasible.
-    pub seconds: Option<f64>,
-    /// The full network report — exactly what `/v1/network` returns for
-    /// this `arch` — or `null` when infeasible.
-    pub report: Option<NetworkReport>,
-    /// Why the candidate cannot run the model, `null` when feasible.
-    pub error: Option<String>,
-}
-
-/// Network-mode `POST /v1/dse` — a capped candidate-architecture sweep over
-/// a full model (`"target": {"network": ...}` instead of layer fields).
-///
-/// Same contract as layer mode: duplicates collapse, results are sorted by
-/// the canonical `(feasible, total cycles, DRAM words, architecture order)`
-/// key, and each candidate's report is bit-identical to the serial
-/// `/v1/network` response for that architecture.
-#[derive(Debug, Clone, Serialize)]
-pub struct DseNetworkResponse {
-    /// The analyzed model's display name (as `/v1/network` echoes it).
-    pub network: String,
-    /// The analyzed batch size.
-    pub batch: usize,
-    /// Candidates named by the request (before deduplication).
-    pub submitted: usize,
-    /// Distinct candidates evaluated.
-    pub unique: usize,
-    /// How many candidates can run the model.
-    pub feasible: usize,
-    /// Per-candidate results, canonically ordered.
-    pub results: Vec<DseNetworkEntry>,
-}
-
-/// What a `/v1/dse` request sweeps its candidates over: one layer (the
-/// layer-spec fields at the top level, the original mode) or a full model
-/// (`"target": {"network": "vgg16", "batch": 3}`).
-#[derive(Debug, Clone)]
-pub enum DseTarget {
-    /// A single layer, from the usual top-level layer-spec fields.
-    Layer(ConvLayer),
-    /// A full model at a batch size — a preset by name or a custom layer
-    /// list.
-    Network {
-        /// The workload (see [`network_by_name`] / [`network_from_value`]).
-        net: Network,
-        /// The analyzed batch size (echoed in the response).
-        batch: usize,
-    },
-}
-
-/// Parses the sweep target of a `/v1/dse` request: the `target` object when
-/// present, the top-level layer-spec fields otherwise. Mixing the two is
-/// rejected — a request that names a network *and* spells out layer fields
-/// is ambiguous about what it wants swept.
-fn parse_dse_target(v: &Value) -> Result<DseTarget, ApiError> {
-    let target = get_field(v, "target")?.filter(|f| !matches!(f, Value::Null));
-    let Some(t) = target else {
-        return Ok(DseTarget::Layer(LayerSpec::from_value(v)?.to_layer()?));
-    };
-    for name in ["co", "size", "ci", "k", "stride", "batch"] {
-        if !matches!(get_field(v, name)?, None | Some(Value::Null)) {
-            return Err(ApiError::BadRequest(format!(
-                "specify either `target` or the layer field `{name}`, not both"
-            )));
-        }
-    }
-    let Value::Object(fields) = t else {
-        return Err(ApiError::BadRequest(
-            "`target` must be a JSON object".to_string(),
-        ));
-    };
-    // A typoed field would silently sweep the default model — reject it.
-    for (key, _) in fields {
-        if key != "network" && key != "batch" {
-            return Err(ApiError::BadRequest(format!(
-                "unknown target field `{key}` (expected network, batch)"
-            )));
-        }
-    }
-    if let Some(custom @ Value::Object(_)) = get_field(t, "network")? {
-        // As on `/v1/network`: the custom object carries its own batch.
-        if !matches!(get_field(t, "batch")?, None | Some(Value::Null)) {
-            return Err(ApiError::BadRequest(
-                "a custom network object carries its own `batch`; \
-                 drop `target.batch`"
-                    .to_string(),
-            ));
-        }
-        let (net, batch) =
-            network_from_value(custom).map_err(|e| e.prefixed("target.network"))?;
-        return Ok(DseTarget::Network { net, batch });
-    }
-    let name: String = require(t, "network")?;
-    let batch: usize = optional(t, "batch", 3)?;
-    let net = network_by_name(&name, batch)?;
-    Ok(DseTarget::Network { net, batch })
-}
-
-/// The network-mode sweep behind `/v1/dse`, exposed so `clb dse --net`
-/// renders the byte-identical structure: evaluates the (already validated)
-/// candidates through [`clb_core::sweep_archs_network`] — deduplicated,
-/// `(candidate × layer)` thread-fanned, plan-cache amortized — and shapes
-/// the canonical response.
-#[must_use]
-pub fn dse_network_results(
-    net: &Network,
-    batch: usize,
-    submitted: usize,
-    archs: &[ArchConfig],
-) -> DseNetworkResponse {
-    let entries = clb_core::sweep_archs_network(net, archs);
-    let results: Vec<DseNetworkEntry> = entries
-        .into_iter()
-        .map(|e| match e.outcome {
-            Ok(report) => DseNetworkEntry {
-                arch: e.arch,
-                total_cycles: Some(report.totals.total_cycles()),
-                seconds: Some(report.seconds),
-                report: Some(report),
-                error: None,
-            },
-            Err(err) => DseNetworkEntry {
-                arch: e.arch,
-                total_cycles: None,
-                seconds: None,
-                report: None,
-                error: Some(err.to_string()),
-            },
-        })
-        .collect();
-    DseNetworkResponse {
-        network: net.name().to_string(),
-        batch,
-        submitted,
-        unique: results.len(),
-        feasible: results.iter().filter(|r| r.report.is_some()).count(),
-        results,
-    }
-}
-
-/// The grid axes `/v1/dse` accepts (every sized `ArchConfig` field, in
-/// [`archs_from_axes`] order); the clock and DRAM model come from the
-/// grid's `base`.
-pub const GRID_AXES: [&str; 9] = [
-    "pe_rows",
-    "pe_cols",
-    "group_rows",
-    "group_cols",
-    "lreg_entries_per_pe",
-    "igbuf_entries",
-    "wgbuf_entries",
-    "greg_bytes",
-    "greg_segment_entries",
-];
-
-/// Expands per-field value lists (in [`GRID_AXES`] order) into validated
-/// candidate architectures over `base` (which supplies the clock and DRAM
-/// model), capped at [`limits::MAX_DSE_CANDIDATES`]. Shared by the
-/// `/v1/dse` grid path and `clb dse`, so the CLI and the service can never
-/// disagree on which field an axis sweeps.
-///
-/// # Errors
-///
-/// [`ApiError::Unprocessable`] on empty axes, over-cap cardinality
-/// (checked before expansion) and candidates violating
-/// [`ArchConfig::validate`] (naming the candidate and the invariant).
-pub fn archs_from_axes(
-    axes: &[Vec<usize>; 9],
-    base: &ArchConfig,
-) -> Result<Vec<ArchConfig>, ApiError> {
-    archs_from_axes_capped(axes, base, limits::MAX_DSE_CANDIDATES)
-}
-
-/// [`archs_from_axes`] under the staged candidate budget
-/// ([`limits::MAX_DSE_STAGED_CANDIDATES`]) — the grid expansion behind
-/// `clb dse --objective ...`, where the bound stage makes million-point
-/// grids affordable.
-///
-/// # Errors
-///
-/// Exactly [`archs_from_axes`]'s, with the larger cap.
-pub fn archs_from_axes_staged(
-    axes: &[Vec<usize>; 9],
-    base: &ArchConfig,
-) -> Result<Vec<ArchConfig>, ApiError> {
-    archs_from_axes_capped(axes, base, limits::MAX_DSE_STAGED_CANDIDATES)
-}
-
-/// [`archs_from_axes`] with an explicit candidate budget — when a request
-/// also carries an explicit `candidates` list, the grid only gets whatever
-/// the list left under [`limits::MAX_DSE_CANDIDATES`].
-fn archs_from_axes_capped(
-    axes: &[Vec<usize>; 9],
-    base: &ArchConfig,
-    cap: usize,
-) -> Result<Vec<ArchConfig>, ApiError> {
-    let points = dataflow::grid_points(axes, cap)
-        .map_err(|e| ApiError::Unprocessable(format!("grid: {e}")))?;
-    points
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let arch = ArchConfig {
-                pe_rows: p[0],
-                pe_cols: p[1],
-                group_rows: p[2],
-                group_cols: p[3],
-                lreg_entries_per_pe: p[4],
-                igbuf_entries: p[5],
-                wgbuf_entries: p[6],
-                greg_bytes: p[7],
-                greg_segment_entries: p[8],
-                core_freq_hz: base.core_freq_hz,
-                dram: base.dram,
-            };
-            arch.validate().map_err(|m| {
-                ApiError::Unprocessable(format!("grid candidate #{i}: invalid arch: {m}"))
-            })?;
-            Ok(arch)
-        })
-        .collect()
-}
-
-fn archs_from_grid(grid: &Value, cap: usize) -> Result<Vec<ArchConfig>, ApiError> {
-    let Value::Object(fields) = grid else {
-        return Err(ApiError::BadRequest(
-            "`grid` must be a JSON object of axis lists".to_string(),
-        ));
-    };
-    // A typoed axis name would silently sweep nothing — reject it.
-    for (key, _) in fields {
-        if key != "base" && !GRID_AXES.contains(&key.as_str()) {
-            return Err(ApiError::BadRequest(format!(
-                "unknown grid axis `{key}` (expected base or one of {})",
-                GRID_AXES.join(", ")
-            )));
-        }
-    }
-    let base = match get_field(grid, "base")? {
-        None | Some(Value::Null) => ArchConfig::implementation(1),
-        Some(b) => arch_from_value(b).map_err(|e| e.prefixed("grid.base"))?,
-    };
-    let base_axis = |f: fn(&ArchConfig) -> usize| vec![f(&base)];
-    let mut axes: [Vec<usize>; 9] = [
-        base_axis(|a| a.pe_rows),
-        base_axis(|a| a.pe_cols),
-        base_axis(|a| a.group_rows),
-        base_axis(|a| a.group_cols),
-        base_axis(|a| a.lreg_entries_per_pe),
-        base_axis(|a| a.igbuf_entries),
-        base_axis(|a| a.wgbuf_entries),
-        base_axis(|a| a.greg_bytes),
-        base_axis(|a| a.greg_segment_entries),
-    ];
-    for (i, name) in GRID_AXES.iter().enumerate() {
-        if let Some(field) = get_field(grid, name)? {
-            if !matches!(field, Value::Null) {
-                axes[i] = Vec::<usize>::from_value(field).map_err(|e| {
-                    ApiError::BadRequest(format!("grid axis `{name}`: {e} (expected a list)"))
-                })?;
-            }
-        }
-    }
-    archs_from_axes_capped(&axes, &base, cap)
-}
-
-fn archs_from_explicit_list(list: &Value, cap: usize) -> Result<Vec<ArchConfig>, ApiError> {
-    let items = list.as_array().map_err(|_| {
-        ApiError::BadRequest("`candidates` must be an array of arch objects".to_string())
-    })?;
-    if items.is_empty() {
-        return Err(ApiError::Unprocessable(
-            "`candidates` must name at least one architecture".to_string(),
-        ));
-    }
-    if items.len() > cap {
-        return Err(ApiError::Unprocessable(format!(
-            "{} candidates exceed the {} cap",
-            items.len(),
-            cap
-        )));
-    }
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| arch_from_value(item).map_err(|e| e.prefixed(&format!("candidates[{i}]"))))
-        .collect()
-}
-
-/// Parses the candidate set of a `/v1/dse` request: an explicit
-/// `candidates` list of arch objects, a `grid` of axis lists over a `base`
-/// architecture, or **both** — the union, with the grid's budget reduced by
-/// the list's length so the combined request stays under `cap`
-/// ([`limits::MAX_DSE_CANDIDATES`] on the legacy path,
-/// [`limits::MAX_DSE_STAGED_CANDIDATES`] when the request is staged). A
-/// candidate named by both forms is one candidate: the sweep dedups by the
-/// architecture's total order, so it is planned and simulated exactly once.
-fn parse_dse_candidates(v: &Value, cap: usize) -> Result<Vec<ArchConfig>, ApiError> {
-    let explicit = get_field(v, "candidates")?.filter(|f| !matches!(f, Value::Null));
-    let grid = get_field(v, "grid")?.filter(|f| !matches!(f, Value::Null));
-    match (explicit, grid) {
-        (None, None) => Err(ApiError::BadRequest(
-            "missing `candidates` (list of arch objects) or `grid` (axis lists)".to_string(),
-        )),
-        (Some(list), None) => archs_from_explicit_list(list, cap),
-        (None, Some(g)) => archs_from_grid(g, cap),
-        (Some(list), Some(g)) => {
-            let mut archs = archs_from_explicit_list(list, cap)?;
-            let remaining = cap - archs.len();
-            archs.extend(archs_from_grid(g, remaining)?);
-            Ok(archs)
-        }
-    }
-}
-
-/// The sweep behind `/v1/dse`, exposed so `clb dse --json` renders the
-/// byte-identical structure: evaluates the (already validated) candidates
-/// through [`clb_core::sweep_archs`] — deduplicated, thread-fanned,
-/// plan-cache amortized — and shapes the canonical response.
-#[must_use]
-pub fn dse_results(layer: &ConvLayer, submitted: usize, archs: &[ArchConfig]) -> DseResponse {
-    let entries = clb_core::sweep_archs("layer", layer, archs);
-    let results: Vec<DseEntry> = entries
-        .into_iter()
-        .map(|e| match e.outcome {
-            Ok(report) => DseEntry {
-                arch: e.arch,
-                total_cycles: Some(report.stats.total_cycles()),
-                seconds: Some(report.stats.seconds(e.arch.core_freq_hz)),
-                report: Some(report),
-                error: None,
-            },
-            Err(err) => DseEntry {
-                arch: e.arch,
-                total_cycles: None,
-                seconds: None,
-                report: None,
-                error: Some(err.to_string()),
-            },
-        })
-        .collect();
-    DseResponse {
-        layer: *layer,
-        submitted,
-        unique: results.len(),
-        feasible: results.iter().filter(|r| r.report.is_some()).count(),
-        results,
-    }
-}
-
-/// How a staged `/v1/dse` request wants its results delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// One synchronous JSON response (the default, and what
-    /// `"stream": false` spells).
-    Sync,
-    /// `Transfer-Encoding: chunked`: one single-line frontier snapshot per
-    /// improvement, then the full response as the final chunk
-    /// (`"stream": true` or `"stream": "chunked"`).
-    Chunked,
-    /// A resumable job handle: the POST answers immediately with an
-    /// acceptance body and `GET /v1/dse/jobs/{id}` polls the sweep
-    /// (`"stream": "job"`).
-    Job,
-}
-
-/// The staged-sweep options of a `/v1/dse` request (`objective`, `top_k`,
-/// `stream`). Parsed to `None` when the request carries none of them — the
-/// legacy capped-batch path, whose wire bytes are pinned by the golden
-/// corpus and must stay untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedOptions {
-    /// Ranking objective for the kept frontier.
-    pub objective: Objective,
-    /// Frontier size, `1..=`[`limits::MAX_DSE_TOP_K`].
-    pub top_k: usize,
-    /// Delivery transport.
-    pub stream: StreamMode,
-}
-
-impl Default for StagedOptions {
-    fn default() -> Self {
-        StagedOptions {
-            objective: Objective::Cycles,
-            top_k: limits::DEFAULT_DSE_TOP_K,
-            stream: StreamMode::Sync,
-        }
-    }
-}
-
-/// Parses the staged fields of a `/v1/dse` body. Absent or `null` fields
-/// fall back to defaults; when *all three* are absent the request is a
-/// legacy sweep and `Ok(None)` is returned. Wrong JSON types are 400s,
-/// well-typed but unknown values (an unrecognized objective or stream
-/// mode, an out-of-range `top_k`) are 422s.
-///
-/// # Errors
-///
-/// [`ApiError::BadRequest`] / [`ApiError::Unprocessable`] as above.
-pub fn parse_staged_options(v: &Value) -> Result<Option<StagedOptions>, ApiError> {
-    let objective = get_field(v, "objective")?.filter(|f| !matches!(f, Value::Null));
-    let top_k = get_field(v, "top_k")?.filter(|f| !matches!(f, Value::Null));
-    let stream = get_field(v, "stream")?.filter(|f| !matches!(f, Value::Null));
-    if objective.is_none() && top_k.is_none() && stream.is_none() {
-        return Ok(None);
-    }
-    let objective = match objective {
-        None => Objective::Cycles,
-        Some(Value::String(name)) => Objective::parse(name).ok_or_else(|| {
-            ApiError::Unprocessable(format!(
-                "unknown objective `{name}` (expected cycles, traffic, energy or pareto)"
-            ))
-        })?,
-        Some(_) => {
-            return Err(ApiError::BadRequest(
-                "field `objective` must be a string (cycles, traffic, energy or pareto)"
-                    .to_string(),
-            ))
-        }
-    };
-    let top_k = match top_k {
-        None => limits::DEFAULT_DSE_TOP_K,
-        Some(field) => {
-            let k = usize::from_value(field)
-                .map_err(|e| ApiError::BadRequest(format!("field `top_k`: {e}")))?;
-            if !(1..=limits::MAX_DSE_TOP_K).contains(&k) {
-                return Err(ApiError::Unprocessable(format!(
-                    "top_k must be between 1 and {}",
-                    limits::MAX_DSE_TOP_K
-                )));
-            }
-            k
-        }
-    };
-    let stream = match stream {
-        None | Some(Value::Bool(false)) => StreamMode::Sync,
-        Some(Value::Bool(true)) => StreamMode::Chunked,
-        Some(Value::String(mode)) => match mode.as_str() {
-            "chunked" => StreamMode::Chunked,
-            "job" => StreamMode::Job,
-            other => {
-                return Err(ApiError::Unprocessable(format!(
-                    "unknown stream mode `{other}` (expected chunked or job)"
-                )))
-            }
-        },
-        Some(_) => {
-            return Err(ApiError::BadRequest(
-                "field `stream` must be a bool or a string (chunked, job)".to_string(),
-            ))
-        }
-    };
-    Ok(Some(StagedOptions {
-        objective,
-        top_k,
-        stream,
-    }))
-}
-
-/// A cheap, non-validating peek at a `/v1/dse` body's `stream` field, used
-/// by the server to pick a transport *before* dispatch. Values the full
-/// parser would reject fall through as [`StreamMode::Sync`] and receive
-/// their typed error from the normal dispatch path.
-#[must_use]
-pub fn stream_mode_hint(v: &Value) -> StreamMode {
-    match get_field(v, "stream") {
-        Ok(Some(Value::Bool(true))) => StreamMode::Chunked,
-        Ok(Some(Value::String(s))) if s == "chunked" => StreamMode::Chunked,
-        Ok(Some(Value::String(s))) if s == "job" => StreamMode::Job,
-        _ => StreamMode::Sync,
-    }
-}
-
-/// The `/v1/dse` request-log fields (`candidates= pruned= kept=
-/// objective=`), produced alongside the response and cached with it so
-/// coalesced and cache-hit requests log the same sweep funnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DseLogMeta {
-    /// Candidates named by the request (before deduplication).
-    pub candidates: usize,
-    /// Candidates discarded by the bound stage (always 0 on the legacy
-    /// path, and on a job acceptance — the job logs its pruning when
-    /// polled into the stats counters instead).
-    pub pruned: u64,
-    /// Result entries returned (the frontier size on the staged path, all
-    /// unique candidates on the legacy path, 0 on a job acceptance).
-    pub kept: usize,
-    /// Ranking objective; `None` on the legacy path, logged as `-`.
-    pub objective: Option<Objective>,
-}
-
-impl DseLogMeta {
-    /// The `objective=` log-field spelling.
-    #[must_use]
-    pub fn objective_str(&self) -> &'static str {
-        self.objective.map_or("-", Objective::as_str)
-    }
-}
-
-/// Layer-mode staged `/v1/dse` response: the bound-pruned,
-/// objective-ranked frontier. Unlike the legacy [`DseResponse`] there is
-/// no `feasible` count — pruned candidates are never planned, so global
-/// feasibility is unknowable by design; the funnel counters (`submitted →
-/// unique → pruned`/`evaluated` → `kept`) replace it.
-#[derive(Debug, Clone, Serialize)]
-pub struct DseStagedResponse {
-    /// Echo of the analyzed layer.
-    pub layer: ConvLayer,
-    /// Ranking objective.
-    pub objective: String,
-    /// Requested frontier size.
-    pub top_k: usize,
-    /// Candidates named by the request (before deduplication).
-    pub submitted: usize,
-    /// Distinct candidates staged.
-    pub unique: usize,
-    /// Candidates discarded by the admissible bound stage. Lossless: a
-    /// pruned candidate provably cannot enter the kept frontier.
-    pub pruned: u64,
-    /// Candidates actually planned and simulated.
-    pub evaluated: u64,
-    /// Frontier entries returned (`≤ top_k`).
-    pub kept: usize,
-    /// The kept frontier, ranked by the objective.
-    pub results: Vec<DseEntry>,
-}
-
-/// Network-mode counterpart of [`DseStagedResponse`].
-#[derive(Debug, Clone, Serialize)]
-pub struct DseStagedNetworkResponse {
-    /// The swept workload's name.
-    pub network: String,
-    /// The analyzed batch size.
-    pub batch: usize,
-    /// Ranking objective.
-    pub objective: String,
-    /// Requested frontier size.
-    pub top_k: usize,
-    /// Candidates named by the request (before deduplication).
-    pub submitted: usize,
-    /// Distinct candidates staged.
-    pub unique: usize,
-    /// Candidates discarded by the admissible bound stage.
-    pub pruned: u64,
-    /// Candidates actually planned and simulated.
-    pub evaluated: u64,
-    /// Frontier entries returned (`≤ top_k`).
-    pub kept: usize,
-    /// The kept frontier, ranked by the objective.
-    pub results: Vec<DseNetworkEntry>,
-}
-
-fn layer_entry(e: ArchSweepEntry<LayerReport>) -> DseEntry {
-    match e.outcome {
-        Ok(report) => DseEntry {
-            arch: e.arch,
-            total_cycles: Some(report.stats.total_cycles()),
-            seconds: Some(report.stats.seconds(e.arch.core_freq_hz)),
-            report: Some(report),
-            error: None,
-        },
-        Err(err) => DseEntry {
-            arch: e.arch,
-            total_cycles: None,
-            seconds: None,
-            report: None,
-            error: Some(err.to_string()),
-        },
-    }
-}
-
-fn network_entry(e: ArchSweepEntry<NetworkReport>) -> DseNetworkEntry {
-    match e.outcome {
-        Ok(report) => DseNetworkEntry {
-            arch: e.arch,
-            total_cycles: Some(report.totals.total_cycles()),
-            seconds: Some(report.seconds),
-            report: Some(report),
-            error: None,
-        },
-        Err(err) => DseNetworkEntry {
-            arch: e.arch,
-            total_cycles: None,
-            seconds: None,
-            report: None,
-            error: Some(err.to_string()),
-        },
-    }
-}
-
-/// The staged layer-mode sweep behind `/v1/dse`, exposed so `clb dse
-/// --objective` renders the byte-identical structure: bound-prunes through
-/// [`clb_core::staged_sweep_archs`] and shapes the ranked frontier.
-/// `progress` observes every frontier improvement (the chunked transport
-/// and job polling are built on it); pass `|_| {}` when not streaming.
-pub fn dse_staged_results(
-    layer: &ConvLayer,
-    submitted: usize,
-    archs: &[ArchConfig],
-    objective: Objective,
-    top_k: usize,
-    progress: impl FnMut(StagedProgress<'_, LayerReport>),
-) -> DseStagedResponse {
-    let outcome = clb_core::staged_sweep_archs("layer", layer, archs, objective, top_k, progress);
-    let results: Vec<DseEntry> = outcome.entries.into_iter().map(layer_entry).collect();
-    DseStagedResponse {
-        layer: *layer,
-        objective: objective.as_str().to_string(),
-        top_k,
-        submitted,
-        unique: outcome.unique,
-        pruned: outcome.pruned,
-        evaluated: outcome.evaluated,
-        kept: results.len(),
-        results,
-    }
-}
-
-/// Network-mode counterpart of [`dse_staged_results`].
-pub fn dse_staged_network_results(
-    net: &Network,
-    batch: usize,
-    submitted: usize,
-    archs: &[ArchConfig],
-    objective: Objective,
-    top_k: usize,
-    progress: impl FnMut(StagedProgress<'_, NetworkReport>),
-) -> DseStagedNetworkResponse {
-    let outcome = clb_core::staged_sweep_archs_network(net, archs, objective, top_k, progress);
-    let results: Vec<DseNetworkEntry> = outcome.entries.into_iter().map(network_entry).collect();
-    DseStagedNetworkResponse {
-        network: net.name().to_string(),
-        batch,
-        objective: objective.as_str().to_string(),
-        top_k,
-        submitted,
-        unique: outcome.unique,
-        pruned: outcome.pruned,
-        evaluated: outcome.evaluated,
-        kept: results.len(),
-        results,
-    }
-}
-
-fn dse_staged_sync(v: &Value, opts: StagedOptions) -> Result<(String, DseLogMeta), ApiError> {
-    let target = parse_dse_target(v)?;
-    let archs = parse_dse_candidates(v, limits::MAX_DSE_STAGED_CANDIDATES)?;
-    match target {
-        DseTarget::Layer(layer) => {
-            let resp = dse_staged_results(
-                &layer,
-                archs.len(),
-                &archs,
-                opts.objective,
-                opts.top_k,
-                |_| {},
-            );
-            let meta = DseLogMeta {
-                candidates: resp.submitted,
-                pruned: resp.pruned,
-                kept: resp.kept,
-                objective: Some(opts.objective),
-            };
-            Ok((render(&resp)?, meta))
-        }
-        DseTarget::Network { net, batch } => {
-            let resp = dse_staged_network_results(
-                &net,
-                batch,
-                archs.len(),
-                &archs,
-                opts.objective,
-                opts.top_k,
-                |_| {},
-            );
-            let meta = DseLogMeta {
-                candidates: resp.submitted,
-                pruned: resp.pruned,
-                kept: resp.kept,
-                objective: Some(opts.objective),
-            };
-            Ok((render(&resp)?, meta))
-        }
-    }
-}
-
-/// One frontier snapshot as a single line of compact JSON (newline
-/// terminated), so a chunked-transport client can parse improvement
-/// events line by line before the final pretty-printed body arrives.
-fn snapshot_line<R: SweepCost>(p: &StagedProgress<'_, R>, top_k: usize) -> Option<String> {
-    let frontier: Vec<Value> = p
-        .frontier
-        .iter()
-        .take(top_k)
-        .map(|e| {
-            let cycles = match &e.outcome {
-                Ok(report) => Value::Number(report.sweep_cycles() as f64),
-                Err(_) => Value::Null,
-            };
-            Value::Object(vec![
-                ("arch".to_string(), e.arch.to_value()),
-                ("total_cycles".to_string(), cycles),
-            ])
-        })
-        .collect();
-    let snapshot = Value::Object(vec![
-        ("processed".to_string(), Value::Number(p.processed as f64)),
-        ("pruned".to_string(), Value::Number(p.pruned as f64)),
-        ("kept".to_string(), Value::Number(frontier.len() as f64)),
-        ("frontier".to_string(), Value::Array(frontier)),
-    ]);
-    serde_json::to_string(&snapshot).ok().map(|s| s + "\n")
-}
-
-/// The chunked-transport staged sweep. The whole request is validated
-/// *before* the first emission, so every error surfaces while the server
-/// can still answer with a plain status line; after that, `emit` receives
-/// one single-line JSON frontier snapshot per improvement and, last, the
-/// exact body the synchronous staged path would have returned — the final
-/// chunk of a stream is byte-identical to the `"stream": false` response.
-///
-/// # Errors
-///
-/// Everything [`dse_response`] raises, all before the first `emit` call
-/// (the final-body render is the lone post-emission fallible step and
-/// cannot fail for shapes that already rendered snapshot lines).
-pub fn dse_staged_stream(v: &Value, emit: &mut dyn FnMut(&str)) -> Result<DseLogMeta, ApiError> {
-    let opts = parse_staged_options(v)?.unwrap_or(StagedOptions {
-        stream: StreamMode::Chunked,
-        ..StagedOptions::default()
-    });
-    let target = parse_dse_target(v)?;
-    let archs = parse_dse_candidates(v, limits::MAX_DSE_STAGED_CANDIDATES)?;
-    match target {
-        DseTarget::Layer(layer) => {
-            let resp = dse_staged_results(
-                &layer,
-                archs.len(),
-                &archs,
-                opts.objective,
-                opts.top_k,
-                |p| {
-                    if let Some(line) = snapshot_line(&p, opts.top_k) {
-                        emit(&line);
-                    }
-                },
-            );
-            let meta = DseLogMeta {
-                candidates: resp.submitted,
-                pruned: resp.pruned,
-                kept: resp.kept,
-                objective: Some(opts.objective),
-            };
-            emit(&render(&resp)?);
-            Ok(meta)
-        }
-        DseTarget::Network { net, batch } => {
-            let resp = dse_staged_network_results(
-                &net,
-                batch,
-                archs.len(),
-                &archs,
-                opts.objective,
-                opts.top_k,
-                |p| {
-                    if let Some(line) = snapshot_line(&p, opts.top_k) {
-                        emit(&line);
-                    }
-                },
-            );
-            let meta = DseLogMeta {
-                candidates: resp.submitted,
-                pruned: resp.pruned,
-                kept: resp.kept,
-                objective: Some(opts.objective),
-            };
-            emit(&render(&resp)?);
-            Ok(meta)
-        }
-    }
-}
-
-/// [`dse_staged_stream`] collected into a chunk list — what the fixtures,
-/// tests and `clb dse --stream` consume; the server writes the same chunks
-/// straight to the socket as `Transfer-Encoding: chunked` frames.
-///
-/// # Errors
-///
-/// Exactly [`dse_staged_stream`]'s.
-pub fn dse_stream_chunks(v: &Value) -> Result<Vec<String>, ApiError> {
-    let mut chunks = Vec::new();
-    dse_staged_stream(v, &mut |chunk| chunks.push(chunk.to_string()))?;
-    Ok(chunks)
-}
-
-fn canonical_value(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => {
-            let mut sorted: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(k, val)| (k.clone(), canonical_value(val)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),
-        other => other.clone(),
-    }
-}
-
-/// The deterministic job id of a job-mode `/v1/dse` request: 16 hex digits
-/// of FNV-1a 64 over the canonicalized (recursively key-sorted, compact)
-/// request body. Identical requests — whatever their key order — name the
-/// same job, which is what makes re-POSTing an accepted job idempotent.
-///
-/// # Errors
-///
-/// [`ApiError::Internal`] if the body cannot be re-serialized (cannot
-/// happen for a value that parsed).
-pub fn dse_job_id(v: &Value) -> Result<String, ApiError> {
-    let canonical = serde_json::to_string(&canonical_value(v))
-        .map_err(|e| ApiError::Internal(format!("unrenderable job body: {e}")))?;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in "/v1/dse ".bytes().chain(canonical.bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    Ok(format!("{hash:016x}"))
-}
-
-/// A validated, not-yet-run job-mode `/v1/dse` request: everything the
-/// server needs to accept the job immediately and run the staged sweep on
-/// a background thread. Constructed by [`prepare_dse_job`].
-pub struct DseJobSpec {
-    /// The deterministic job id (see [`dse_job_id`]).
-    pub id: String,
-    target: DseTarget,
-    archs: Vec<ArchConfig>,
-    submitted: usize,
-    objective: Objective,
-    top_k: usize,
-}
-
-/// Validates a job-mode `/v1/dse` request end to end — staged options,
-/// target, candidate expansion — *without* running the sweep, so a bad
-/// request is rejected before a job is ever registered.
-///
-/// # Errors
-///
-/// Exactly [`dse_response`]'s validation errors.
-pub fn prepare_dse_job(v: &Value) -> Result<DseJobSpec, ApiError> {
-    let opts = parse_staged_options(v)?.unwrap_or(StagedOptions {
-        stream: StreamMode::Job,
-        ..StagedOptions::default()
-    });
-    let target = parse_dse_target(v)?;
-    let archs = parse_dse_candidates(v, limits::MAX_DSE_STAGED_CANDIDATES)?;
-    Ok(DseJobSpec {
-        id: dse_job_id(v)?,
-        submitted: archs.len(),
-        target,
-        archs,
-        objective: opts.objective,
-        top_k: opts.top_k,
-    })
-}
-
-impl DseJobSpec {
-    /// The poll path of this job.
-    #[must_use]
-    pub fn poll_path(&self) -> String {
-        format!("/v1/dse/jobs/{}", self.id)
-    }
-
-    /// The deterministic acceptance body the POST answers immediately.
-    #[must_use]
-    pub fn acceptance_body(&self) -> String {
-        let body = Value::Object(vec![
-            ("job".to_string(), Value::String(self.id.clone())),
-            ("status".to_string(), Value::String("accepted".to_string())),
-            ("poll".to_string(), Value::String(self.poll_path())),
-        ]);
-        serde_json::to_string_pretty(&body).unwrap_or_default()
-    }
-
-    /// The request-log fields of the acceptance response.
-    #[must_use]
-    pub fn meta(&self) -> DseLogMeta {
-        DseLogMeta {
-            candidates: self.submitted,
-            pruned: 0,
-            kept: 0,
-            objective: Some(self.objective),
-        }
-    }
-
-    /// Runs the sweep to completion, reporting `(processed, pruned)`
-    /// through `progress` for poll visibility. Returns the final poll
-    /// response — the exact synchronous staged body on success — and the
-    /// total pruned count for the stats counters.
-    pub fn run(&self, progress: &mut dyn FnMut(usize, u64)) -> (Response, u64) {
-        let (rendered, pruned) = match &self.target {
-            DseTarget::Layer(layer) => {
-                let resp = dse_staged_results(
-                    layer,
-                    self.submitted,
-                    &self.archs,
-                    self.objective,
-                    self.top_k,
-                    |p| progress(p.processed, p.pruned),
-                );
-                let pruned = resp.pruned;
-                (render(&resp), pruned)
-            }
-            DseTarget::Network { net, batch } => {
-                let resp = dse_staged_network_results(
-                    net,
-                    *batch,
-                    self.submitted,
-                    &self.archs,
-                    self.objective,
-                    self.top_k,
-                    |p| progress(p.processed, p.pruned),
-                );
-                let pruned = resp.pruned;
-                (render(&resp), pruned)
-            }
-        };
-        match rendered {
-            Ok(body) => (Response::json(200, body), pruned),
-            Err(e) => (e.into_response(), 0),
-        }
-    }
-}
-
-/// The poll body of a still-running DSE job.
-#[must_use]
-pub fn dse_job_running_body(id: &str, processed: u64, pruned: u64) -> String {
-    let body = Value::Object(vec![
-        ("job".to_string(), Value::String(id.to_string())),
-        ("status".to_string(), Value::String("running".to_string())),
-        ("processed".to_string(), Value::Number(processed as f64)),
-        ("pruned".to_string(), Value::Number(pruned as f64)),
-    ]);
-    serde_json::to_string_pretty(&body).unwrap_or_default()
-}
-
-/// Handles `POST /v1/dse` — layer mode (top-level layer-spec fields) or
-/// network mode (`"target": {"network": ..., "batch": ...}`). Requests
-/// carrying any of `objective`, `top_k`, `stream` take the staged
-/// bound-pruned path with its [`limits::MAX_DSE_STAGED_CANDIDATES`] cap;
-/// requests without them take the legacy evaluate-everything path, whose
-/// response bytes and [`limits::MAX_DSE_CANDIDATES`] cap are unchanged.
-///
-/// # Errors
-///
-/// [`ApiError::BadRequest`] on malformed bodies (neither of
-/// `candidates`/`grid`, ill-typed fields, unknown grid axes, `target`
-/// mixed with layer fields); [`ApiError::Unprocessable`] on out-of-limit
-/// layers/batches, unknown network names, over-cap candidate counts,
-/// invalid candidate architectures (naming the candidate and the violated
-/// invariant), unknown objective/stream values and out-of-range `top_k`.
-pub fn dse_response(v: &Value) -> Result<String, ApiError> {
-    dse_response_with_meta(v).map(|(body, _)| body)
-}
-
-/// [`dse_response`] plus the request-log metadata the server attaches to
-/// the response (and caches with it, so cache hits log the same funnel).
-///
-/// # Errors
-///
-/// Exactly [`dse_response`]'s.
-pub fn dse_response_with_meta(v: &Value) -> Result<(String, DseLogMeta), ApiError> {
-    let Some(opts) = parse_staged_options(v)? else {
-        // The legacy capped-batch path: wire bytes pinned by the golden
-        // corpus, cap unchanged.
-        let target = parse_dse_target(v)?;
-        let archs = parse_dse_candidates(v, limits::MAX_DSE_CANDIDATES)?;
-        return match target {
-            DseTarget::Layer(layer) => {
-                let resp = dse_results(&layer, archs.len(), &archs);
-                let meta = DseLogMeta {
-                    candidates: resp.submitted,
-                    pruned: 0,
-                    kept: resp.results.len(),
-                    objective: None,
-                };
-                Ok((render(&resp)?, meta))
-            }
-            DseTarget::Network { net, batch } => {
-                let resp = dse_network_results(&net, batch, archs.len(), &archs);
-                let meta = DseLogMeta {
-                    candidates: resp.submitted,
-                    pruned: 0,
-                    kept: resp.results.len(),
-                    objective: None,
-                };
-                Ok((render(&resp)?, meta))
-            }
-        };
-    };
-    match opts.stream {
-        // The acceptance body is deterministic, so the pure handler
-        // answers job mode too; the server layers the job table and the
-        // background thread on top of this.
-        StreamMode::Job => {
-            let spec = prepare_dse_job(v)?;
-            Ok((spec.acceptance_body(), spec.meta()))
-        }
-        // Chunked is a transport hint; as a pure function the staged
-        // sweep returns the same final body synchronously.
-        StreamMode::Sync | StreamMode::Chunked => dse_staged_sync(v, opts),
-    }
 }
 
 /// Routes one parsed POST body to its endpoint handler and renders the

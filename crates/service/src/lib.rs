@@ -192,6 +192,13 @@
 //! path byte for byte. See `docs/API.md` § Design-space exploration and
 //! `docs/OPERATIONS.md` § Sizing a large sweep.
 //!
+//! All of it is one code path: a body parses once into a [`DseRequest`]
+//! (target, candidates, optional [`StagedOptions`]; unknown top-level keys
+//! are a 400), and [`DseRequest::run`] — the only code that tells a layer
+//! from a network — hands one generic [`DseResponse`] of [`DseEntry`]
+//! rows to a [`DseSink`]: the synchronous body, the chunked stream, the
+//! job thread and `clb dse` are four sinks over the same sweep.
+//!
 //! See `docs/API.md` for the full `arch` schema, the caps and the
 //! request/response formats, and `docs/TESTING.md` for the golden
 //! regression corpus that pins every endpoint's wire bytes.
@@ -213,7 +220,7 @@
 //! | `/v1/plan` | POST | layer spec + `implem`/`arch` | `clb plan` |
 //! | `/v1/simulate` | POST | layer spec + `implem`/`arch` + `tiling` | `clb simulate` |
 //! | `/v1/network` | POST | `net` (preset name or custom object), `batch`, `implem`/`arch` | `clb network --json` |
-//! | `/v1/dse` | POST | layer spec + `candidates`/`grid` | `clb dse` |
+//! | `/v1/dse` | POST | layer spec or `target`, + `candidates`/`grid` (+ `objective`/`top_k`/`stream`) | `clb dse` |
 //!
 //! Layer spec fields: `co`, `size`, `ci` (required); `k` (3), `stride`
 //! (1), `batch` (3), `mem_kib` (66.5) optional with CLI-matching defaults.
@@ -264,13 +271,11 @@ pub mod pool;
 mod server;
 
 pub use api::{
-    arch_from_value, dse_job_id, dse_network_results, dse_results, dse_staged_network_results,
-    dse_staged_results, dse_stream_chunks, network_by_name, network_from_value,
-    parse_staged_options, ApiError,
-    ArchChoice, ArchPlanResponse, ArchSimulateResponse, BoundResponse, DseEntry, DseLogMeta,
-    DseNetworkEntry, DseNetworkResponse, DseResponse, DseStagedNetworkResponse, DseStagedResponse,
-    LayerSpec, PlanResponse, SimulateResponse, StagedOptions, StreamMode, SweepEntry,
-    SweepResponse, TraceFormat, TraceRequest,
+    arch_from_value, dse_job_id, dse_results, dse_staged_results, dse_stream_chunks,
+    network_by_name, network_from_value, parse_staged_options, ApiError, ArchChoice,
+    ArchPlanResponse, ArchSimulateResponse, BoundResponse, DseEntry, DseLogMeta, DseReport,
+    DseRequest, DseResponse, DseSink, DseTarget, LayerSpec, PlanResponse, SimulateResponse,
+    StagedOptions, StreamMode, SweepEntry, SweepResponse, TraceFormat, TraceRequest,
 };
 pub use chaos::{request_bytes, ChaosClient, WireResponse};
 pub use http::{HttpError, Request, Response};

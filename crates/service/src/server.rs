@@ -357,24 +357,6 @@ fn net_flag(path: &str, parsed: Option<&Value>) -> Option<String> {
     })
 }
 
-/// Recursively sorts object keys so two spellings of the same JSON value
-/// render to the same canonical string (the shim's `Value::Object`
-/// preserves client field order, which must not split cache keys).
-fn canonicalize(value: &Value) -> Value {
-    match value {
-        Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
-        Value::Object(fields) => {
-            let mut sorted: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(k, v)| (k.clone(), canonicalize(v)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
-        }
-        other => other.clone(),
-    }
-}
-
 /// The fixed route vocabulary of the `latency` section of
 /// `GET /v1/cache_stats`: every endpoint the server answers, plus a
 /// trailing `other` bucket for 404s/aborts. The list (and its order) is
@@ -393,6 +375,68 @@ pub const LATENCY_ROUTES: [&str; 11] = [
     "/v1/shutdown",
     "other",
 ];
+
+/// The route a request path names, derived by [`Route::of`] — the one
+/// place that maps paths to endpoints, shared by routing, admission and the
+/// latency histograms. Variants are in [`LATENCY_ROUTES`] order, which also
+/// holds their labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Healthz,
+    Bound,
+    Sweep,
+    Plan,
+    Simulate,
+    Network,
+    Dse,
+    /// `/v1/dse/jobs/{id}` — every job id shares one route (per-id routes
+    /// would be unbounded).
+    DseJob,
+    CacheStats,
+    Shutdown,
+    /// Any path the server does not serve.
+    Other,
+}
+
+impl Route {
+    const ALL: [Route; LATENCY_ROUTES.len()] = [
+        Route::Healthz,
+        Route::Bound,
+        Route::Sweep,
+        Route::Plan,
+        Route::Simulate,
+        Route::Network,
+        Route::Dse,
+        Route::DseJob,
+        Route::CacheStats,
+        Route::Shutdown,
+        Route::Other,
+    ];
+
+    fn of(path: &str) -> Route {
+        if path.starts_with("/v1/dse/jobs/") {
+            return Route::DseJob;
+        }
+        Route::ALL
+            .into_iter()
+            .find(|&route| route != Route::DseJob && LATENCY_ROUTES[route as usize] == path)
+            .unwrap_or(Route::Other)
+    }
+
+    /// The analysis endpoints: POST-only, cached, and bounded by the
+    /// [`Gate`].
+    fn is_analysis(self) -> bool {
+        matches!(
+            self,
+            Route::Bound
+                | Route::Sweep
+                | Route::Plan
+                | Route::Simulate
+                | Route::Network
+                | Route::Dse
+        )
+    }
+}
 
 /// Log2 bucket count of one route histogram: bucket `i` holds requests
 /// whose latency has an `i`-bit microsecond value (upper bound
@@ -469,24 +513,10 @@ struct LatencyRecorder {
 }
 
 impl LatencyRecorder {
-    /// Which histogram a request path lands in: exact route match (job
-    /// polls share the `/v1/dse/jobs` bucket — per-job-id routes would be
-    /// unbounded), or the trailing `other` bucket (404s, aborted
-    /// connections logged as `-`).
-    fn index_of(path: &str) -> usize {
-        let lookup = if path.starts_with("/v1/dse/jobs") {
-            "/v1/dse/jobs"
-        } else {
-            path
-        };
-        LATENCY_ROUTES
-            .iter()
-            .position(|&route| route == lookup)
-            .unwrap_or(LATENCY_ROUTES.len() - 1)
-    }
-
+    /// Books one request in its route's histogram — 404s and aborted
+    /// connections (logged as `-`) in the trailing `other` one.
     fn record(&self, path: &str, micros: u128) {
-        self.routes[Self::index_of(path)].record(micros);
+        self.routes[Route::of(path) as usize].record(micros);
     }
 
     fn snapshot(&self) -> Vec<RouteLatencyStats> {
@@ -1094,7 +1124,7 @@ impl ServiceState {
                 flags,
             );
         }
-        let canonical = match serde_json::to_string(&canonicalize(&parsed)) {
+        let canonical = match serde_json::to_string(&api::canonical_value(&parsed)) {
             Ok(c) => c,
             Err(e) => {
                 return (
@@ -1253,34 +1283,17 @@ impl ServiceState {
     /// `GET`s (health, stats) and the shutdown control plane stay
     /// admissible under full load on purpose.
     fn is_gated(method: &str, path: &str) -> bool {
-        const POST_ENDPOINTS: [&str; 6] = [
-            "/v1/bound",
-            "/v1/sweep",
-            "/v1/plan",
-            "/v1/simulate",
-            "/v1/network",
-            "/v1/dse",
-        ];
-        method == "POST" && POST_ENDPOINTS.contains(&path)
+        method == "POST" && Route::of(path).is_analysis()
     }
 
     fn route(&self, head: &http::Head, body: &[u8]) -> (Arc<Produced>, CacheOutcome, LogFlags) {
-        const POST_ENDPOINTS: [&str; 7] = [
-            "/v1/bound",
-            "/v1/sweep",
-            "/v1/plan",
-            "/v1/simulate",
-            "/v1/network",
-            "/v1/dse",
-            "/v1/shutdown",
-        ];
-        const GET_ENDPOINTS: [&str; 2] = ["/healthz", "/v1/cache_stats"];
         let uncached =
             |r: Response| (Produced::uncached(r), CacheOutcome::Uncached, LogFlags::default());
-        match (head.method.as_str(), head.path.as_str()) {
-            ("GET", "/healthz") => uncached(Response::json(200, "{\"status\": \"ok\"}")),
-            ("GET", "/v1/cache_stats") => uncached(self.cache_stats_response()),
-            ("GET", path) if path.starts_with("/v1/dse/jobs/") => {
+        let path = head.path.as_str();
+        match (head.method.as_str(), Route::of(path)) {
+            ("GET", Route::Healthz) => uncached(Response::json(200, "{\"status\": \"ok\"}")),
+            ("GET", Route::CacheStats) => uncached(self.cache_stats_response()),
+            ("GET", Route::DseJob) => {
                 let id = &path["/v1/dse/jobs/".len()..];
                 uncached(match self.jobs.poll(id) {
                     Some(response) => response,
@@ -1293,19 +1306,15 @@ impl ServiceState {
                     ),
                 })
             }
-            (_, path) if path.starts_with("/v1/dse/jobs/") => uncached(Response::error(
-                405,
-                &format!("method {} not allowed for {path}", head.method),
-            )),
-            ("POST", "/v1/shutdown") => uncached(self.shutdown_response()),
-            ("POST", path) if POST_ENDPOINTS.contains(&path) => self.post_response(path, body),
-            (_, path) if POST_ENDPOINTS.contains(&path) || GET_ENDPOINTS.contains(&path) => {
-                uncached(Response::error(
-                    405,
-                    &format!("method {} not allowed for {path}", head.method),
-                ))
+            ("POST", Route::Shutdown) => uncached(self.shutdown_response()),
+            ("POST", route) if route.is_analysis() => self.post_response(path, body),
+            (_, Route::Other) => {
+                uncached(Response::error(404, &format!("no such endpoint `{path}`")))
             }
-            (_, path) => uncached(Response::error(404, &format!("no such endpoint `{path}`"))),
+            (method, _) => uncached(Response::error(
+                405,
+                &format!("method {method} not allowed for {path}"),
+            )),
         }
     }
 
@@ -2362,6 +2371,25 @@ mod tests {
         assert_eq!(table.len(), 0);
         assert_eq!(table.begin_drain(), 0);
         assert_eq!(table.abort_all(), 0);
+    }
+
+    /// `Route` variants index `LATENCY_ROUTES`: each label maps back to its
+    /// own variant, and only a path under `/v1/dse/jobs/` is a job poll.
+    #[test]
+    fn routes_follow_the_latency_label_table() {
+        for (i, &route) in Route::ALL.iter().enumerate() {
+            assert_eq!(route as usize, i);
+            let label = LATENCY_ROUTES[i];
+            let expected = if route == Route::DseJob {
+                Route::Other
+            } else {
+                route
+            };
+            assert_eq!(Route::of(label), expected, "{label}");
+        }
+        assert_eq!(Route::of("/v1/dse/jobs/0123abcd"), Route::DseJob);
+        assert_eq!(Route::of("/v1/dse/jobsX"), Route::Other);
+        assert_eq!(Route::of("-"), Route::Other);
     }
 
     /// Same regression for the DSE job table: a poisoned lock must not

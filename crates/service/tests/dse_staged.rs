@@ -138,6 +138,50 @@ fn hostile_staged_options_get_typed_errors() {
 }
 
 #[test]
+fn unknown_top_level_keys_are_400_naming_the_key() {
+    // Nearly every field is optional, so each typo would otherwise pass
+    // unnoticed: `objectve` would return the legacy shape under the 256
+    // cap, `strid` would sweep stride 1.
+    let server = Server::spawn(ServiceConfig::default()).expect("bind an ephemeral port");
+    for (extra, key) in [
+        ("\"objectve\":\"energy\"", "objectve"),
+        ("\"strid\":2", "strid"),
+        ("\"top-k\":2", "top-k"),
+    ] {
+        let body = staged_body(extra);
+        let (status, pure) = dispatch(&body);
+        assert_eq!(status, 400, "{extra}: {pure}");
+        assert!(pure.contains(&format!("unknown field `{key}`")), "{pure}");
+        assert!(pure.contains("co, size, ci, k, stride, batch"), "{pure}");
+        let (status, wire) = request(server.addr(), "POST", "/v1/dse", &body);
+        assert_eq!(
+            (status, wire),
+            (400, pure),
+            "{extra}: wire must match the handler"
+        );
+        // The streaming and job transports refuse it before anything starts.
+        let parsed: Value =
+            serde_json::from_str(&staged_body(&format!("{extra},\"stream\":true"))).unwrap();
+        assert!(matches!(
+            api::dse_stream_chunks(&parsed),
+            Err(api::ApiError::BadRequest(_))
+        ));
+        let job = staged_body(&format!("{extra},\"stream\":\"job\""));
+        let (status, _) = request(server.addr(), "POST", "/v1/dse", &job);
+        assert_eq!(status, 400, "{extra}: job mode");
+    }
+    // Network-mode bodies are held to the same vocabulary.
+    let network = format!(
+        "{{\"target\":{{\"network\":\"alexnet\",\"batch\":1}},\"candidates\":{},\"strid\":2}}",
+        preset_candidates()
+    );
+    let (status, error) = dispatch(&network);
+    assert_eq!(status, 400, "{error}");
+    assert!(error.contains("unknown field `strid`"), "{error}");
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn legacy_requests_stay_byte_identical_with_null_staged_fields() {
     // All-null staged fields mean "not a staged request": the response must
     // be the legacy shape, byte-identical to a request without the fields.

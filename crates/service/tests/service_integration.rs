@@ -129,6 +129,45 @@ fn cache_stats_report_per_route_latency_histograms() {
 }
 
 #[test]
+fn latency_histograms_book_unserved_job_paths_as_other() {
+    // A known request mix must drive each route's count to an exact value:
+    // paths that merely start like the job route are 404s and belong in
+    // `other`; only a real poll path counts as `/v1/dse/jobs`.
+    let server = spawn_server();
+    let addr = server.addr();
+    let near_misses = [
+        ("GET", "/v1/dse/jobs"),
+        ("POST", "/v1/dse/jobs"),
+        ("POST", "/v1/dse/jobsX"),
+        ("GET", "/v1/dse/jobsfoo/1"),
+    ];
+    for (method, path) in near_misses {
+        let (status, body) = request(addr, method, path, "");
+        assert_eq!(status, 404, "{method} {path}: {body}");
+    }
+    let (status, body) = request(addr, "GET", "/v1/dse/jobs/0123456789abcdef", "");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("no such DSE job"), "{body}");
+    let (status, stats_body) = request(addr, "GET", "/v1/cache_stats", "");
+    assert_eq!(status, 200);
+    server.shutdown().unwrap();
+
+    let stats: clb_service::CacheStatsResponse = serde_json::from_str(&stats_body).unwrap();
+    let count = |route: &str| {
+        stats
+            .latency
+            .iter()
+            .find(|r| r.route == route)
+            .map(|r| r.count)
+            .unwrap()
+    };
+    assert_eq!(count("other"), near_misses.len() as u64);
+    assert_eq!(count("/v1/dse/jobs"), 1);
+    let total: u64 = stats.latency.iter().map(|r| r.count).sum();
+    assert_eq!(total, near_misses.len() as u64 + 1);
+}
+
+#[test]
 fn sixty_four_concurrent_requests_are_bit_identical_to_library_output() {
     let server = spawn_server();
     let addr = server.addr();

@@ -24,9 +24,12 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use clb::core::Accelerator;
+use clb::core::{Accelerator, Objective, StagedProgress};
 use clb::model::workloads;
 use clb::prelude::*;
+use clb_service::{
+    DseReport, DseRequest, DseResponse, DseSink, DseTarget, StagedOptions, StreamMode,
+};
 use dataflow::{found_minimum, search_dataflow};
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -324,19 +327,23 @@ fn net_from_flags(
         .map_err(|e| format!("--net-json: {}", api_error_message(e)))
 }
 
+/// The network `network`/`dse` analyze and its batch: the `--net-json`
+/// object when given, otherwise the `--net` preset (default `vgg16`) at
+/// `--batch` (default 3).
+fn network_from_flags(
+    flags: &HashMap<String, String>,
+) -> Result<(workloads::Network, usize), String> {
+    if let Some(custom) = net_from_flags(flags)? {
+        return Ok(custom);
+    }
+    let batch: usize = get(flags, "batch", 3)?;
+    let name = flags.get("net").map_or("vgg16", String::as_str);
+    let net = clb_service::network_by_name(name, batch).map_err(api_error_message)?;
+    Ok((net, batch))
+}
+
 fn cmd_network(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (net, batch) = match net_from_flags(flags)? {
-        Some(custom) => custom,
-        None => {
-            let batch: usize = get(flags, "batch", 3)?;
-            let name = flags
-                .get("net")
-                .cloned()
-                .unwrap_or_else(|| "vgg16".to_string());
-            let net = clb_service::network_by_name(&name, batch).map_err(api_error_message)?;
-            (net, batch)
-        }
-    };
+    let (net, batch) = network_from_flags(flags)?;
     let (arch, label) = arch_choice_from_flags(flags)?;
     let acc = Accelerator::new(arch);
     let report = acc.analyze_network(&net).map_err(|e| e.to_string())?;
@@ -406,10 +413,10 @@ fn get_list(
 /// The staged-mode CLI flags, mirroring `/v1/dse`'s staged fields: any of
 /// `--objective`, `--top-k` or `--stream` switches `clb dse` from the
 /// legacy evaluate-everything sweep to the bound-pruned staged engine
-/// (larger candidate cap, ranked frontier, optional live progress).
-fn staged_flags(
-    flags: &HashMap<String, String>,
-) -> Result<Option<(clb::core::Objective, usize, bool)>, String> {
+/// (larger candidate cap, ranked frontier, optional live progress —
+/// `--stream true` is the chunked mode, its snapshots printed as stderr
+/// progress lines).
+fn staged_flags(flags: &HashMap<String, String>) -> Result<Option<StagedOptions>, String> {
     use clb_service::api::limits;
     if !["objective", "top-k", "stream"]
         .iter()
@@ -418,8 +425,8 @@ fn staged_flags(
         return Ok(None);
     }
     let objective = match flags.get("objective") {
-        None => clb::core::Objective::Cycles,
-        Some(name) => clb::core::Objective::parse(name).ok_or_else(|| {
+        None => Objective::Cycles,
+        Some(name) => Objective::parse(name).ok_or_else(|| {
             format!("unknown --objective `{name}` (expected cycles, traffic, energy or pareto)")
         })?,
     };
@@ -430,156 +437,125 @@ fn staged_flags(
             limits::MAX_DSE_TOP_K
         ));
     }
-    let stream: bool = get(flags, "stream", false)?;
-    Ok(Some((objective, top_k, stream)))
+    let stream = if get(flags, "stream", false)? {
+        StreamMode::Chunked
+    } else {
+        StreamMode::Sync
+    };
+    Ok(Some(StagedOptions {
+        objective,
+        top_k,
+        stream,
+    }))
 }
 
-/// The live-progress printer for `clb dse --stream true`: one stderr line
-/// per frontier improvement, mirroring the fields of the service's chunked
-/// snapshots (stderr so `--json true` output stays machine-parsable).
-fn print_stream_progress<R: clb::core::SweepCost>(p: &clb::core::StagedProgress<'_, R>) {
-    eprintln!(
-        "processed={} pruned={} kept={}",
-        p.processed,
-        p.pruned,
-        p.frontier.len()
-    );
+/// How `clb dse` presents a sweep: with `--stream true`, one stderr line
+/// per frontier improvement (mirroring the fields of the service's chunked
+/// snapshots; stderr so `--json true` output stays machine-parsable), then
+/// either the exact `/v1/dse` JSON or a results table under `heading`
+/// (`macs`, the target's MAC count, turns energy into pJ/MAC).
+struct DsePrinter {
+    heading: String,
+    macs: u64,
+    json: bool,
+    stream: bool,
+}
+
+impl DseSink for DsePrinter {
+    type Output = Result<(), String>;
+
+    fn progress<R: DseReport>(&mut self, p: &StagedProgress<'_, R>) {
+        if self.stream {
+            let kept = p.frontier.len();
+            eprintln!("processed={} pruned={} kept={kept}", p.processed, p.pruned);
+        }
+    }
+
+    fn finish<R: DseReport>(self, response: DseResponse<R>) -> Result<(), String> {
+        if self.json {
+            let json = serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?;
+            println!("{json}");
+            return Ok(());
+        }
+        let funnel = match response.ranking {
+            None => format!("{} feasible)", response.feasible()),
+            Some((objective, _)) => format!(
+                "{} pruned, {} evaluated); top {} by {}",
+                response.pruned,
+                response.evaluated,
+                response.results.len(),
+                objective.as_str()
+            ),
+        };
+        println!(
+            "{} — {} candidates ({} distinct, {funnel}\n",
+            self.heading, response.submitted, response.unique
+        );
+        println!(
+            "{:<10} {:>8} {:>12} {:>12} {:>10} {:>9}",
+            "PEs", "eff KiB", "cycles", "DRAM (MB)", "pJ/MAC", "time(ms)"
+        );
+        for entry in &response.results {
+            let pes = format!("{}x{}", entry.arch.pe_rows, entry.arch.pe_cols);
+            let eff = entry.arch.effective_onchip_bytes() as f64 / 1024.0;
+            match (&entry.report, entry.total_cycles, entry.seconds) {
+                (Some(report), Some(cycles), Some(seconds)) => println!(
+                    "{pes:<10} {eff:>8.1} {cycles:>12} {:>12.2} {:>10.2} {:>9.2}",
+                    (report.sweep_dram_words() * clb::model::BYTES_PER_WORD) as f64 / 1e6,
+                    report.sweep_energy_pj() / self.macs as f64,
+                    seconds * 1e3
+                ),
+                _ => println!(
+                    "{pes:<10} {eff:>8.1} infeasible: {}",
+                    entry.error.as_deref().unwrap_or("unknown")
+                ),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// `clb dse`: sweep a grid of candidate architectures over one layer, or —
-/// with `--net` — over a full model (the CLI mirror of `POST /v1/dse` in
-/// both its modes). The grid axes are comma-separated lists; unlisted axes
-/// stay at the base architecture (`--arch` JSON, default Table I
+/// with `--net`/`--net-json` — over a full model (the CLI mirror of
+/// `POST /v1/dse` in both its modes, run through the same
+/// [`DseRequest::run`]). The grid axes are comma-separated lists; unlisted
+/// axes stay at the base architecture (`--arch` JSON, default Table I
 /// implementation 1). `--json true` prints the identical structure the
 /// service returns. `--objective`, `--top-k` and `--stream` select the
 /// staged engine (the CLI mirror of the same fields on `POST /v1/dse`).
 fn cmd_dse(flags: &HashMap<String, String>) -> Result<(), String> {
-    if flags.contains_key("net") || flags.contains_key("net-json") {
-        for conflicting in ["co", "size", "ci", "k", "stride"] {
-            if flags.contains_key(conflicting) {
-                return Err(format!(
-                    "specify either a network (--net/--net-json) or the layer \
-                     flag --{conflicting}, not both"
-                ));
-            }
+    let (target, heading, macs) = if flags.contains_key("net") || flags.contains_key("net-json") {
+        let layer_flags = ["co", "size", "ci", "k", "stride"];
+        if let Some(flag) = layer_flags.iter().find(|f| flags.contains_key(**f)) {
+            return Err(format!(
+                "specify either a network (--net/--net-json) or the layer \
+                 flag --{flag}, not both"
+            ));
         }
-        let (net, batch) = match net_from_flags(flags)? {
-            Some(custom) => custom,
-            None => {
-                let batch: usize = get(flags, "batch", 3)?;
-                let name = flags.get("net").expect("checked above");
-                let net = clb_service::network_by_name(name, batch).map_err(api_error_message)?;
-                (net, batch)
-            }
-        };
-        return cmd_dse_network(&net, batch, flags);
-    }
-    let layer = layer_from_flags(flags)?;
+        let (net, batch) = network_from_flags(flags)?;
+        let heading = format!("{} (batch {batch})", net.name());
+        let macs = net.total_macs();
+        (DseTarget::Network { net, batch }, heading, macs)
+    } else {
+        let layer = layer_from_flags(flags)?;
+        let heading = format!("layer: {layer}");
+        (DseTarget::Layer(layer), heading, layer.macs())
+    };
     let base = arch_from_flags(flags)?.unwrap_or_else(accel_sim::ArchConfig::example);
-
-    if let Some((objective, top_k, stream)) = staged_flags(flags)? {
-        let archs = grid_archs_from_flags(flags, &base, true)?;
-        let response =
-            clb_service::dse_staged_results(&layer, archs.len(), &archs, objective, top_k, |p| {
-                if stream {
-                    print_stream_progress(&p);
-                }
-            });
-        if get(flags, "json", false)? {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
-            );
-            return Ok(());
-        }
-        println!(
-            "layer: {layer} — {} candidates ({} distinct, {} pruned, {} evaluated); \
-             top {} by {}\n",
-            response.submitted,
-            response.unique,
-            response.pruned,
-            response.evaluated,
-            response.kept,
-            response.objective
-        );
-        print_dse_header();
-        for entry in &response.results {
-            print_dse_row(
-                &entry.arch,
-                entry.report.as_ref().map(|report| {
-                    (
-                        report.stats.total_cycles(),
-                        report.stats.dram.total_bytes() as f64 / 1e6,
-                        report.pj_per_mac(),
-                        report.stats.seconds(entry.arch.core_freq_hz) * 1e3,
-                    )
-                }),
-                entry.error.as_deref(),
-            );
-        }
-        return Ok(());
+    let staged = staged_flags(flags)?;
+    let printer = DsePrinter {
+        heading,
+        macs,
+        json: get(flags, "json", false)?,
+        stream: staged.is_some_and(|o| o.stream == StreamMode::Chunked),
+    };
+    let archs = grid_archs_from_flags(flags, &base, staged.is_some())?;
+    DseRequest {
+        target,
+        archs,
+        staged,
     }
-
-    let archs = grid_archs_from_flags(flags, &base, false)?;
-    let response = clb_service::dse_results(&layer, archs.len(), &archs);
-
-    if get(flags, "json", false)? {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-
-    println!(
-        "layer: {layer} — {} candidates ({} distinct, {} feasible)\n",
-        response.submitted, response.unique, response.feasible
-    );
-    print_dse_header();
-    for entry in &response.results {
-        print_dse_row(
-            &entry.arch,
-            entry.report.as_ref().map(|report| {
-                (
-                    report.stats.total_cycles(),
-                    report.stats.dram.total_bytes() as f64 / 1e6,
-                    report.pj_per_mac(),
-                    report.stats.seconds(entry.arch.core_freq_hz) * 1e3,
-                )
-            }),
-            entry.error.as_deref(),
-        );
-    }
-    Ok(())
-}
-
-/// The `clb dse` results-table header — shared between layer and network
-/// modes so the two output formats cannot drift.
-fn print_dse_header() {
-    println!(
-        "{:<10} {:>8} {:>12} {:>12} {:>10} {:>9}",
-        "PEs", "eff KiB", "cycles", "DRAM (MB)", "pJ/MAC", "time(ms)"
-    );
-}
-
-/// One `clb dse` results-table row: `(cycles, DRAM MB, pJ/MAC, ms)` for a
-/// feasible candidate, the diagnosis otherwise.
-fn print_dse_row(
-    arch: &accel_sim::ArchConfig,
-    stats: Option<(u64, f64, f64, f64)>,
-    error: Option<&str>,
-) {
-    let pes = format!("{}x{}", arch.pe_rows, arch.pe_cols);
-    let eff = arch.effective_onchip_bytes() as f64 / 1024.0;
-    match stats {
-        Some((cycles, dram_mb, pj_per_mac, ms)) => println!(
-            "{pes:<10} {eff:>8.1} {cycles:>12} {dram_mb:>12.2} {pj_per_mac:>10.2} {ms:>9.2}"
-        ),
-        None => println!(
-            "{pes:<10} {eff:>8.1} infeasible: {}",
-            error.unwrap_or("unknown")
-        ),
-    }
+    .run(printer)
 }
 
 /// Expands the `clb dse` grid flags into validated candidates. Axis order
@@ -608,100 +584,6 @@ fn grid_archs_from_flags(
     } else {
         clb_service::api::archs_from_axes(&axes, base).map_err(api_error_message)
     }
-}
-
-/// The network mode of `clb dse` (`--net <preset>` or `--net-json`): the
-/// same candidate grid, evaluated per candidate over the *whole model* —
-/// the CLI mirror of `/v1/dse` with `"target": {"network": ...}`.
-fn cmd_dse_network(
-    net: &workloads::Network,
-    batch: usize,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let base = arch_from_flags(flags)?.unwrap_or_else(accel_sim::ArchConfig::example);
-
-    if let Some((objective, top_k, stream)) = staged_flags(flags)? {
-        let archs = grid_archs_from_flags(flags, &base, true)?;
-        let response = clb_service::dse_staged_network_results(
-            &net,
-            batch,
-            archs.len(),
-            &archs,
-            objective,
-            top_k,
-            |p| {
-                if stream {
-                    print_stream_progress(&p);
-                }
-            },
-        );
-        if get(flags, "json", false)? {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
-            );
-            return Ok(());
-        }
-        println!(
-            "{} (batch {batch}) — {} candidates ({} distinct, {} pruned, {} evaluated); \
-             top {} by {}\n",
-            response.network,
-            response.submitted,
-            response.unique,
-            response.pruned,
-            response.evaluated,
-            response.kept,
-            response.objective
-        );
-        print_dse_header();
-        for entry in &response.results {
-            print_dse_row(
-                &entry.arch,
-                entry.report.as_ref().map(|report| {
-                    (
-                        report.totals.total_cycles(),
-                        report.totals.dram.total_bytes() as f64 / 1e6,
-                        report.pj_per_mac(),
-                        report.seconds * 1e3,
-                    )
-                }),
-                entry.error.as_deref(),
-            );
-        }
-        return Ok(());
-    }
-
-    let archs = grid_archs_from_flags(flags, &base, false)?;
-    let response = clb_service::dse_network_results(&net, batch, archs.len(), &archs);
-
-    if get(flags, "json", false)? {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-
-    println!(
-        "{} (batch {batch}) — {} candidates ({} distinct, {} feasible)\n",
-        response.network, response.submitted, response.unique, response.feasible
-    );
-    print_dse_header();
-    for entry in &response.results {
-        print_dse_row(
-            &entry.arch,
-            entry.report.as_ref().map(|report| {
-                (
-                    report.totals.total_cycles(),
-                    report.totals.dram.total_bytes() as f64 / 1e6,
-                    report.pj_per_mac(),
-                    report.seconds * 1e3,
-                )
-            }),
-            entry.error.as_deref(),
-        );
-    }
-    Ok(())
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
