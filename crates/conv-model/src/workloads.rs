@@ -84,10 +84,7 @@ impl Network {
     /// below `u128::MAX`).
     #[must_use]
     pub fn total_macs_u128(&self) -> u128 {
-        self.layers
-            .iter()
-            .map(|l| u128::from(l.layer.macs()))
-            .sum()
+        self.layers.iter().map(|l| u128::from(l.layer.macs())).sum()
     }
 }
 

@@ -944,7 +944,12 @@ impl NetLayerSpec {
     fn macs_u128(&self, batch: usize) -> u128 {
         let oh = Self::out_extent(self.h, self.padding.vertical, self.kernel, self.stride);
         let ow = Self::out_extent(self.w, self.padding.horizontal, self.kernel, self.stride);
-        batch as u128 * oh * ow * self.co as u128 * self.kernel as u128 * self.kernel as u128
+        batch as u128
+            * oh
+            * ow
+            * self.co as u128
+            * self.kernel as u128
+            * self.kernel as u128
             * self.ci as u128
     }
 
@@ -1370,10 +1375,7 @@ mod tests {
         assert_eq!(resp.status, 200, "{}", resp.body);
         let v: Value = serde_json::from_str(&resp.body).unwrap();
         assert_eq!(v.get_field("network").unwrap().as_str().unwrap(), "tiny");
-        assert_eq!(
-            v.get_field("layers").unwrap().as_array().unwrap().len(),
-            1
-        );
+        assert_eq!(v.get_field("layers").unwrap().as_array().unwrap().len(), 1);
     }
 
     #[test]

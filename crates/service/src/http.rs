@@ -11,7 +11,7 @@
 //! actually closes (client preference, per-connection request bound, idle
 //! timeout, drain); this module only parses and serializes.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::time::Instant;
 
 /// Default cap on request bodies (1 MiB — analysis requests are tiny).
@@ -173,10 +173,15 @@ fn read_error(e: &std::io::Error) -> HttpError {
 }
 
 /// Reads and parses the request head (everything up to the `\r\n\r\n`
-/// terminator). Call [`read_body`] afterwards — split so the server can
-/// interpose a `100 Continue` between the two. `deadline` bounds the
-/// *whole* head transfer (checked between reads; pair it with a per-read
-/// socket timeout so a silent peer cannot park the thread either).
+/// terminator) through a [`BufRead`]er's buffer. Call [`read_body`]
+/// afterwards — split so the server can interpose a `100 Continue` between
+/// the two. Exactly the head is consumed, so pipelined bytes stay buffered
+/// for the next request: a readiness-driven server needs that, since
+/// bytes parked in the user-space buffer are invisible to `epoll` and must
+/// be consumed from here, not re-awaited on the socket. `deadline` bounds
+/// the *whole* head transfer (checked between reads; pair it with a
+/// per-read socket timeout so a silent peer cannot park the thread
+/// either).
 ///
 /// # Errors
 ///
@@ -185,42 +190,7 @@ fn read_error(e: &std::io::Error) -> HttpError {
 /// headers; [`HttpError::VersionNotSupported`] for non-1.x versions;
 /// [`HttpError::DeadlineExceeded`] past `deadline`; [`HttpError::Io`] when
 /// the socket fails.
-pub fn read_head<R: Read>(reader: &mut R, deadline: Option<Instant>) -> Result<Head, HttpError> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::HeadTooLarge);
-        }
-        check_deadline(deadline)?;
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return Err(HttpError::BadRequest(
-                    "connection closed before the request head completed".to_string(),
-                ))
-            }
-            Ok(_) => head.push(byte[0]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(read_error(&e)),
-        }
-    }
-    parse_head(&head)
-}
-
-/// Reads and parses the request head through a [`BufRead`]er's buffer —
-/// the event-loop server's head reader. Behavior-identical to
-/// [`read_head`] (same errors, same deadline semantics, consumes exactly
-/// through the `\r\n\r\n` terminator so pipelined bytes stay buffered for
-/// the next request), but fills whole buffers instead of issuing one
-/// `read(2)` per byte: ~16 syscalls fewer per request head, and the shape
-/// a readiness-driven server needs, since bytes parked in the user-space
-/// buffer are invisible to `epoll` and must be consumed from here, not
-/// re-awaited on the socket.
-///
-/// # Errors
-///
-/// As [`read_head`].
-pub fn read_head_buffered<R: std::io::BufRead>(
+pub fn read_head_buffered<R: BufRead>(
     reader: &mut R,
     deadline: Option<Instant>,
 ) -> Result<Head, HttpError> {
@@ -272,7 +242,7 @@ pub fn read_head_buffered<R: std::io::BufRead>(
 ///
 /// # Errors
 ///
-/// As [`read_head`], minus the I/O cases.
+/// As [`read_head_buffered`], minus the I/O cases.
 pub fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpError::BadRequest("request head is not valid UTF-8".to_string()))?;
@@ -386,14 +356,15 @@ pub fn read_body<R: Read>(
     Ok(body)
 }
 
-/// Convenience for tests and simple callers: head + body in one call, no
-/// interim responses.
+/// Head + body in one call, no interim responses and no deadline — the
+/// server's framing minus the `100 Continue` step, for tests and simple
+/// callers.
 ///
 /// # Errors
 ///
-/// As [`read_head`] and [`read_body`].
-pub fn read_request<R: Read>(reader: &mut R, max_body: usize) -> Result<Request, HttpError> {
-    let head = read_head(reader, None)?;
+/// As [`read_head_buffered`] and [`read_body`].
+pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, HttpError> {
+    let head = read_head_buffered(reader, None)?;
     let body = read_body(reader, head.content_length, max_body, None)?;
     Ok(Request { head, body })
 }
@@ -669,7 +640,7 @@ mod tests {
     fn expired_deadline_rejects_slow_requests_with_408() {
         let past = Some(Instant::now() - std::time::Duration::from_secs(1));
         let mut cursor = Cursor::new(&b"GET / HTTP/1.1\r\n\r\n"[..]);
-        let err = read_head(&mut cursor, past).unwrap_err();
+        let err = read_head_buffered(&mut cursor, past).unwrap_err();
         assert_eq!(err, HttpError::DeadlineExceeded);
         assert_eq!(err.status(), 408);
         let mut cursor = Cursor::new(&b"abcdef"[..]);
@@ -678,7 +649,7 @@ mod tests {
         // A live deadline lets a complete request straight through.
         let future = Some(Instant::now() + std::time::Duration::from_secs(60));
         let mut cursor = Cursor::new(&b"GET / HTTP/1.1\r\n\r\n"[..]);
-        assert!(read_head(&mut cursor, future).is_ok());
+        assert!(read_head_buffered(&mut cursor, future).is_ok());
     }
 
     #[test]
@@ -731,7 +702,7 @@ mod tests {
                 Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
             }
         }
-        let err = read_head(&mut TimesOut, None).unwrap_err();
+        let err = read_head_buffered(&mut std::io::BufReader::new(TimesOut), None).unwrap_err();
         assert_eq!(err, HttpError::DeadlineExceeded);
         assert_eq!(err.status(), 408);
         let err = read_body(&mut TimesOut, 4, 1024, None).unwrap_err();
@@ -806,7 +777,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, HttpError::DeadlineExceeded);
-        // A timed-out socket surfaces as 408, exactly like `read_head`.
+        // A timed-out socket surfaces as 408, not as a malformed request.
         struct TimesOut;
         impl Read for TimesOut {
             fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {

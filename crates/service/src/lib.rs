@@ -29,7 +29,8 @@
 //!     │
 //! Gate: ≤ threads concurrent analyses + bounded wait room holding
 //!     │ parsed-but-unadmitted requests — workers never block here;
-//!     │ (full? shed 503 + Retry-After — body already read, socket reusable)
+//!     │ (full? shed 503 + Retry-After — body already read, socket reusable);
+//!     │ background DSE jobs (≤ 8 running) block for a permit instead
 //!     ▼
 //! canonicalize body, form request key
 //!     │
@@ -240,10 +241,14 @@
 //! `method=POST path=/v1/plan status=200 micros=1234 cache=miss conn=7` —
 //! with `cache` reporting how the response-cache layers answered
 //! ([`CacheOutcome`]) and `conn` the connection id (lines sharing it were
-//! served over one reused keep-alive socket). `/v1/simulate` and
-//! `/v1/plan` lines carry a trailing `trace=on|off`; answered `/v1/dse`
-//! sweeps append their funnel —
-//! ` candidates=N pruned=N kept=N objective=cycles`. Independently of
+//! served over one reused keep-alive socket). Each line ends with its
+//! route's [`LogTail`]: `/v1/simulate` and `/v1/plan` lines carry a
+//! trailing `trace=on|off`, `/v1/network` lines a sanitized `net=<name>`,
+//! and answered `/v1/dse` sweeps (and job acceptances) their funnel —
+//! ` candidates=N pruned=N kept=N objective=cycles`. The route is derived
+//! once per request and decides the tail; the tail is cached with the
+//! response, so cache hits and coalesced followers log what the leader
+//! logged. Independently of
 //! logging, every request feeds a per-route log2 latency histogram;
 //! `GET /v1/cache_stats` reports them as a `latency` section
 //! ([`RouteLatencyStats`]: count, `p50`/`p99` bucket bounds and exact max
@@ -279,9 +284,9 @@ pub use api::{
 };
 pub use chaos::{request_bytes, ChaosClient, WireResponse};
 pub use http::{HttpError, Request, Response};
-pub use pool::{BoundedQueue, Gate, WaitGroup, WorkerPool};
+pub use pool::{BoundedQueue, Gate, WaitGroup};
 pub use server::{
-    format_request_log, CacheOutcome, CacheStatsResponse, LogFlags, LogSink, MemoCacheStats,
+    format_request_log, CacheOutcome, CacheStatsResponse, LogSink, LogTail, MemoCacheStats,
     RouteLatencyStats, RunningServer, Server, ServiceConfig, ServiceStats, StatsHandle, StopHandle,
     LATENCY_ROUTES, RETRY_AFTER_SECS,
 };

@@ -358,20 +358,28 @@ mod tests {
     fn waker_interrupts_a_blocked_wait_once_per_burst() {
         let poller = Poller::new().unwrap();
         let waker = poller.waker();
+        let remote = waker.clone();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            // A burst of wakes must collapse into one wakeup, not echo.
-            for _ in 0..10 {
-                waker.wake();
-            }
+            remote.wake();
         });
         let mut ready = Vec::new();
         let woken = poller
             .wait(&mut ready, Some(Duration::from_secs(5)))
             .unwrap();
-        assert!(woken, "the waker must interrupt the wait");
+        assert!(woken, "a wake from another thread must interrupt the wait");
         assert!(ready.is_empty());
         handle.join().unwrap();
+        // A burst of wakes written before the next wait collapses into one
+        // wakeup, not an echo: all of it is pending before the wait starts,
+        // so the drain cannot land mid-burst.
+        for _ in 0..10 {
+            waker.wake();
+        }
+        let woken = poller
+            .wait(&mut ready, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(woken, "the burst must report");
         // The pipe was drained: the next wait times out quietly.
         let woken = poller
             .wait(&mut ready, Some(Duration::from_millis(20)))

@@ -1,22 +1,20 @@
 //! Concurrency primitives for the serving tier.
 //!
-//! * [`Gate`] — the request-admission primitive the keep-alive server uses:
-//!   a bounded set of compute permits plus a bounded waiting room. A
-//!   request that finds no permit and a full waiting room bounces straight
-//!   back so the connection loop can answer `503 + Retry-After` (load
-//!   shedding, not buffering) while the connection itself stays usable.
+//! * [`Gate`] — the compute-admission primitive: a bounded set of permits.
+//!   The event tier's I/O workers only ever [`Gate::try_acquire`] (a
+//!   request that finds every permit busy is shelved in the server's wait
+//!   room, or shed with `503 + Retry-After` when that is full); background
+//!   DSE job threads, capped in number by the server, block in
+//!   [`Gate::acquire`].
 //! * [`WaitGroup`] — deadline-aware completion tracking for graceful
-//!   drain: every connection thread holds a guard, shutdown waits for all
-//!   guards with a hard deadline and aborts stragglers past it.
-//! * [`BoundedQueue`] + [`WorkerPool`] — general-purpose building
-//!   blocks: the server's event tier runs its I/O workers off a
-//!   [`BoundedQueue`] of ready connections (idle ones are parked on the
-//!   epoll poller, so a persistent connection never pins a worker), and
-//!   [`WorkerPool`] remains for embedders.
+//!   drain: every connection holds a guard, shutdown waits for all guards
+//!   with a hard deadline and aborts stragglers past it.
+//! * [`BoundedQueue`] — the event tier's queue of ready connections, which
+//!   its I/O workers drain (idle connections are parked on the epoll
+//!   poller, so a persistent connection never pins a worker).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -58,18 +56,6 @@ impl<T> BoundedQueue<T> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Items currently queued (racy by nature; for stats only).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().map(|s| s.items.len()).unwrap_or(0)
-    }
-
-    /// True when nothing is queued (racy by nature; for stats only).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues without blocking. Returns the item when the queue is full
@@ -117,40 +103,23 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-struct GateState {
-    /// Compute permits currently available.
-    available: usize,
-    /// Requests parked in the waiting room.
-    waiting: usize,
-}
-
-/// A bounded semaphore with a bounded waiting room.
+/// A bounded semaphore: `permits` bounds how many requests compute
+/// concurrently.
 ///
-/// `permits` bounds how many requests compute concurrently; `max_waiting`
-/// bounds how many more may block for a permit. Beyond both, [`acquire`]
-/// returns `None` immediately — the caller sheds the request (the server
-/// answers `503 + Retry-After`) instead of building an unbounded backlog.
-/// This is the keep-alive replacement for the old per-*connection* queue
-/// bound: admission control moves from accept time to request time, so a
+/// Admission control sits at request time, not accept time, so a
 /// persistent connection can carry thousands of requests while the server
-/// still never runs more than `permits` computations at once.
+/// still never runs more than `permits` computations at once. The gate
+/// holds no waiting room of its own: the server bounds who may wait —
+/// shelved requests by its wait room, blocked [`acquire`] callers by its
+/// cap on running DSE jobs.
 ///
 /// [`acquire`]: Gate::acquire
 #[derive(Debug)]
 pub struct Gate {
-    state: Mutex<GateState>,
+    /// Compute permits currently available.
+    available: Mutex<usize>,
     released: Condvar,
     permits: usize,
-    max_waiting: usize,
-}
-
-impl std::fmt::Debug for GateState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GateState")
-            .field("available", &self.available)
-            .field("waiting", &self.waiting)
-            .finish()
-    }
 }
 
 /// An acquired [`Gate`] permit; dropping it releases the slot and wakes one
@@ -162,28 +131,26 @@ pub struct GatePermit<'a> {
 
 impl Drop for GatePermit<'_> {
     fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("gate lock poisoned");
-        state.available += 1;
-        drop(state);
+        // A plain counter is valid after any update, so a poisoned lock is
+        // recovered rather than panicking inside `drop`.
+        *self
+            .gate
+            .available
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
         self.gate.released.notify_one();
     }
 }
 
 impl Gate {
-    /// A gate with `permits` concurrent slots (clamped to ≥ 1) and room
-    /// for `max_waiting` blocked requests (0 means shed the instant every
-    /// permit is busy).
+    /// A gate with `permits` concurrent slots (clamped to ≥ 1).
     #[must_use]
-    pub fn new(permits: usize, max_waiting: usize) -> Self {
+    pub fn new(permits: usize) -> Self {
         let permits = permits.max(1);
         Gate {
-            state: Mutex::new(GateState {
-                available: permits,
-                waiting: 0,
-            }),
+            available: Mutex::new(permits),
             released: Condvar::new(),
             permits,
-            max_waiting,
         }
     }
 
@@ -193,49 +160,34 @@ impl Gate {
         self.permits
     }
 
-    /// The waiting-room bound.
-    #[must_use]
-    pub fn max_waiting(&self) -> usize {
-        self.max_waiting
-    }
-
-    /// Takes a permit only if one is free right now — never enters the
-    /// waiting room. The event tier's I/O workers admit requests through
-    /// this: a worker blocked in the waiting room would be lost to the
-    /// serving plane (starving ungated traffic under full compute load),
-    /// so saturation is surfaced immediately and the caller shelves or
-    /// sheds the request instead.
+    /// Takes a permit only if one is free right now — never waits. The
+    /// event tier's I/O workers admit requests through this: a worker
+    /// blocked on the gate would be lost to the serving plane (starving
+    /// ungated traffic under full compute load), so saturation is surfaced
+    /// immediately and the caller shelves or sheds the request instead.
     #[must_use]
     pub fn try_acquire(&self) -> Option<GatePermit<'_>> {
-        let mut state = self.state.lock().expect("gate lock poisoned");
-        if state.available == 0 {
+        let mut available = self.available.lock().expect("gate lock poisoned");
+        if *available == 0 {
             return None;
         }
-        state.available -= 1;
+        *available -= 1;
         Some(GatePermit { gate: self })
     }
 
-    /// Takes a permit, blocking in the waiting room if every permit is
-    /// busy. Returns `None` without blocking when the waiting room is full
-    /// too — the caller sheds the load.
+    /// Takes a permit, blocking until one is released if every permit is
+    /// busy.
     #[must_use]
-    pub fn acquire(&self) -> Option<GatePermit<'_>> {
-        let mut state = self.state.lock().expect("gate lock poisoned");
-        if state.available == 0 {
-            if state.waiting >= self.max_waiting {
-                return None;
-            }
-            state.waiting += 1;
-            while state.available == 0 {
-                state = self
-                    .released
-                    .wait(state)
-                    .expect("gate lock poisoned while waiting");
-            }
-            state.waiting -= 1;
+    pub fn acquire(&self) -> GatePermit<'_> {
+        let mut available = self.available.lock().expect("gate lock poisoned");
+        while *available == 0 {
+            available = self
+                .released
+                .wait(available)
+                .expect("gate lock poisoned while waiting");
         }
-        state.available -= 1;
-        Some(GatePermit { gate: self })
+        *available -= 1;
+        GatePermit { gate: self }
     }
 }
 
@@ -315,92 +267,6 @@ impl WaitGroup {
     }
 }
 
-/// A fixed pool of worker threads draining a [`BoundedQueue`] through one
-/// shared handler.
-pub struct WorkerPool<T: Send + 'static> {
-    queue: Arc<BoundedQueue<T>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> std::fmt::Debug for WorkerPool<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
-            .field("queued", &self.queue.len())
-            .finish()
-    }
-}
-
-impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawns `threads` workers (clamped to ≥ 1) over a queue bounded to
-    /// `queue_capacity`, each running `handler` on every popped item.
-    pub fn new<F>(threads: usize, queue_capacity: usize, handler: F) -> Self
-    where
-        F: Fn(T) + Send + Sync + 'static,
-    {
-        let queue = Arc::new(BoundedQueue::new(queue_capacity));
-        let handler = Arc::new(handler);
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let handler = Arc::clone(&handler);
-                std::thread::Builder::new()
-                    .name(format!("clb-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(item) = queue.pop() {
-                            // One bad request must not shrink the pool: a
-                            // panicking handler drops its item (closing the
-                            // connection) and the worker lives on.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handler(item)
-                                }));
-                            if outcome.is_err() {
-                                eprintln!("clb-worker-{i}: handler panicked; item dropped");
-                            }
-                        }
-                    })
-                    .expect("spawning a worker thread failed")
-            })
-            .collect();
-        WorkerPool { queue, workers }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Hands `item` to the pool without blocking.
-    ///
-    /// # Errors
-    ///
-    /// `Err(item)` hands the item back when the queue is full (or the pool
-    /// is shutting down) — the caller sheds the load.
-    pub fn try_dispatch(&self, item: T) -> Result<(), T> {
-        self.queue.try_push(item)
-    }
-
-    /// Graceful shutdown: stops intake, drains the queue, joins every
-    /// worker.
-    pub fn shutdown(mut self) {
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl<T: Send + 'static> Drop for WorkerPool<T> {
-    fn drop(&mut self) {
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,138 +297,81 @@ mod tests {
     }
 
     #[test]
-    fn pool_processes_all_dispatched_items() {
-        let processed = Arc::new(AtomicUsize::new(0));
-        let pool = {
-            let processed = Arc::clone(&processed);
-            WorkerPool::new(4, 64, move |n: usize| {
-                processed.fetch_add(n, Ordering::Relaxed);
-            })
-        };
-        let mut dispatched = 0;
-        for i in 1..=50 {
-            // Retry on transient fullness: the test wants totals, not
-            // shedding behavior.
-            let mut item = i;
-            loop {
-                match pool.try_dispatch(item) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        item = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            dispatched += i;
-        }
-        pool.shutdown(); // drains before joining
-        assert_eq!(processed.load(Ordering::Relaxed), dispatched);
-    }
-
-    #[test]
-    fn pool_sheds_load_when_saturated() {
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let pool = {
-            let gate = Arc::clone(&gate);
-            WorkerPool::new(1, 1, move |n: u32| {
-                if n == 1 {
-                    gate.wait(); // the first item parks the only worker…
-                    gate.wait(); // …until the test releases it
-                }
-            })
-        };
-        pool.try_dispatch(1).unwrap(); // taken by the worker
-        gate.wait(); // worker is now busy
-        pool.try_dispatch(2).unwrap(); // fills the queue slot
-        assert_eq!(pool.try_dispatch(3), Err(3)); // shed
-        gate.wait(); // release the worker
-        pool.shutdown();
-    }
-
-    #[test]
-    fn panicking_handler_does_not_kill_workers() {
-        let processed = Arc::new(AtomicUsize::new(0));
-        let pool = {
-            let processed = Arc::clone(&processed);
-            WorkerPool::new(1, 8, move |n: u32| {
-                assert_ne!(n, 0, "poison item"); // panics for n == 0
-                processed.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        pool.try_dispatch(0).unwrap(); // panics inside the only worker
-        for i in 1..=3 {
-            let mut item = i;
-            while let Err(back) = pool.try_dispatch(item) {
-                item = back;
-                std::thread::yield_now();
-            }
-        }
-        pool.shutdown();
-        assert_eq!(
-            processed.load(Ordering::Relaxed),
-            3,
-            "the worker must survive the panic and drain the rest"
-        );
-    }
-
-    #[test]
     fn gate_sheds_beyond_permits_plus_waiting_room() {
-        let gate = Gate::new(1, 0);
-        let held = gate.acquire().expect("first permit");
-        // Permit busy, waiting room of zero: instant shed.
-        assert!(gate.acquire().is_none());
+        // `try_acquire` is the gate's shedding entry and has no waiting
+        // room: beyond the permits it sheds at once.
+        let gate = Gate::new(1);
+        let held = gate.try_acquire().expect("first permit");
+        assert!(gate.try_acquire().is_none());
         drop(held);
-        assert!(gate.acquire().is_some(), "released permits are reusable");
+        assert!(
+            gate.try_acquire().is_some(),
+            "released permits are reusable"
+        );
     }
 
     #[test]
     fn gate_waiting_room_blocks_then_admits() {
-        let gate = Arc::new(Gate::new(1, 1));
-        let held = gate.acquire().expect("permit");
+        let gate = Arc::new(Gate::new(1));
+        let held = gate.acquire();
         let entered = Arc::new(AtomicUsize::new(0));
+        let started = Arc::new(std::sync::Barrier::new(2));
         let waiter = {
-            let (gate, entered) = (Arc::clone(&gate), Arc::clone(&entered));
+            let (gate, entered, started) = (
+                Arc::clone(&gate),
+                Arc::clone(&entered),
+                Arc::clone(&started),
+            );
             std::thread::spawn(move || {
-                let permit = gate.acquire();
+                started.wait();
+                let _permit = gate.acquire();
                 entered.fetch_add(1, Ordering::SeqCst);
-                assert!(permit.is_some(), "a parked waiter must eventually enter");
             })
         };
-        // Give the waiter time to park, then check the room is full.
+        // The waiter is running; give it time to reach the blocked acquire.
+        started.wait();
         std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(entered.load(Ordering::SeqCst), 0, "waiter must be parked");
+        assert_eq!(entered.load(Ordering::SeqCst), 0, "acquire must wait");
         assert!(
-            gate.acquire().is_none(),
-            "second overflow must shed, not queue"
+            gate.try_acquire().is_none(),
+            "a non-blocking overflow sheds while the waiter is parked"
         );
         drop(held);
         waiter.join().unwrap();
-        assert_eq!(entered.load(Ordering::SeqCst), 1);
+        assert_eq!(entered.load(Ordering::SeqCst), 1, "the release admits it");
+        assert!(gate.try_acquire().is_some(), "its permit came back");
     }
 
     #[test]
     fn try_acquire_never_waits_and_never_counts_as_waiting() {
-        let gate = Arc::new(Gate::new(1, 1));
+        let gate = Arc::new(Gate::new(1));
         let held = gate.try_acquire().expect("free permit");
-        // Saturated: try_acquire bounces immediately without consuming
-        // the waiting room...
+        // Saturated: try_acquire bounces immediately and leaves no claim on
+        // the permit...
         assert!(gate.try_acquire().is_none());
-        // ...so a blocking waiter still fits in it afterwards.
+        // ...so the released permit goes to the blocking waiter.
         let waiter = {
             let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.acquire().is_some())
+            std::thread::spawn(move || {
+                let _permit = gate.acquire();
+            })
         };
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert!(gate.try_acquire().is_none(), "still saturated");
         drop(held);
-        assert!(waiter.join().unwrap(), "the parked waiter enters first");
+        waiter.join().unwrap();
+        assert!(
+            gate.try_acquire().is_some(),
+            "the waiter gave its permit back"
+        );
     }
 
     #[test]
     fn gate_clamps_zero_permits_to_one() {
-        let gate = Gate::new(0, 0);
+        let gate = Gate::new(0);
         assert_eq!(gate.permits(), 1);
-        assert!(gate.acquire().is_some());
+        let _permit = gate.acquire();
+        assert!(gate.try_acquire().is_none());
     }
 
     #[test]
@@ -587,20 +396,5 @@ mod tests {
         assert_eq!(wg.outstanding(), 0);
         // An empty group drains instantly.
         assert!(wg.wait_timeout(std::time::Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn drop_joins_workers() {
-        let processed = Arc::new(AtomicUsize::new(0));
-        {
-            let processed = Arc::clone(&processed);
-            let pool = WorkerPool::new(2, 8, move |_: u32| {
-                processed.fetch_add(1, Ordering::Relaxed);
-            });
-            for i in 0..5 {
-                pool.try_dispatch(i).unwrap();
-            }
-        } // drop: close + drain + join
-        assert_eq!(processed.load(Ordering::Relaxed), 5);
     }
 }

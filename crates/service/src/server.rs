@@ -55,13 +55,18 @@
 //!
 //! ## Request path
 //!
-//! `POST` bodies are canonicalized (parsed and re-serialized JSON), the
-//! canonical key goes through the bounded LRU **response cache**, then the
-//! [`FlightMap`] — concurrent identical requests share one computation —
-//! and finally [`api::dispatch`] runs the actual analysis (which
-//! internally hits the engine's own memoized, coalesced tiling-search
-//! cache). Responses over reused connections are byte-identical to
-//! one-shot connections: only the `Connection:` header differs.
+//! Each request is framed once into a `PendingRequest` carrying its route,
+//! derived once from the path; the route alone decides gating, caching,
+//! transport, log fields and latency bucket, and every reply — framed or
+//! chunked — leaves through one `respond`. Analysis `POST` bodies are
+//! parsed once and canonicalized (re-serialized JSON); for a synchronous
+//! request the canonical key goes through the bounded LRU **response
+//! cache**, then the [`FlightMap`] — concurrent identical requests share
+//! one computation — and finally [`api::dispatch`] runs the actual
+//! analysis (which internally hits the engine's own memoized, coalesced
+//! tiling-search cache). Responses over reused connections are
+//! byte-identical to one-shot connections: only the `Connection:` header
+//! differs.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
@@ -109,8 +114,10 @@ pub struct ServiceConfig {
     /// the pool to the compute permit count plus headroom for socket
     /// I/O that blocks outside the [`Gate`]. Clamped to ≥ 1.
     pub io_workers: usize,
-    /// Bounded waiting room for analysis requests beyond `threads`
-    /// (overflow is shed with `503 + Retry-After`).
+    /// Bound on the wait room of shelved analysis requests — framed
+    /// requests that found every `threads` permit busy (overflow is shed
+    /// with `503 + Retry-After`). Job-mode `/v1/dse` sweeps are not
+    /// bounded by it: their threads wait for a permit.
     pub queue_capacity: usize,
     /// Request-body cap in bytes (oversized requests get 413).
     pub max_body_bytes: usize,
@@ -237,22 +244,20 @@ impl CacheOutcome {
 /// Space-separated `key=value` pairs, fixed key order, one line per
 /// request; `cache` is a [`CacheOutcome`] spelling and `conn` the server's
 /// monotone connection id — consecutive lines sharing a `conn` value were
-/// served over one reused keep-alive socket. The trailing `trace=on|off`
-/// appears only on `/v1/simulate` and `/v1/plan` requests (the endpoints
-/// that accept a `trace` option; `on` means the body carried a non-null
-/// one). `/v1/network` requests instead end with ` net=<name>` — the
-/// preset name (`vgg16` when the body omits `net`), `custom` for a custom
-/// network object, or `-` when the body never parsed; the value is
+/// served over one reused keep-alive socket. The line ends with the
+/// request's [`LogTail`]: ` trace=on|off` on `/v1/simulate` and `/v1/plan`
+/// requests (the endpoints that accept a `trace` option; `on` means the
+/// body carried a non-null one), ` net=<name>` on `/v1/network` requests —
+/// the preset name (`vgg16` when the body omits `net`), `custom` for a
+/// custom network object, or `-` when the body never parsed; the value is
 /// sanitized to `[A-Za-z0-9_-]` and at most 32 chars so a hostile preset
-/// string cannot forge extra `key=value` pairs. Answered `/v1/dse` sweeps
-/// instead append the sweep funnel —
-/// ` candidates=N pruned=N kept=N objective=cycles` (legacy sweeps log
-/// `objective=-`; rejected DSE requests keep the base shape). A connection
-/// aborted before its socket could be configured logs `status=0` with
-/// `method=- path=-`. The shape is pinned by an integration test —
-/// production log scrapers may rely on it.
+/// string cannot forge extra `key=value` pairs — and the sweep funnel
+/// ` candidates=N pruned=N kept=N objective=cycles` on answered `/v1/dse`
+/// sweeps (legacy sweeps log `objective=-`; rejected DSE requests keep the
+/// base shape). A connection aborted before its socket could be configured
+/// logs `status=0` with `method=- path=-`. The shape is pinned by an
+/// integration test — production log scrapers may rely on it.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn format_request_log(
     method: &str,
     path: &str,
@@ -260,86 +265,65 @@ pub fn format_request_log(
     micros: u128,
     cache: CacheOutcome,
     conn: u64,
-    flags: &LogFlags,
-    dse: Option<&api::DseLogMeta>,
+    tail: &LogTail,
 ) -> String {
-    let trace = match flags.trace {
-        None => "",
-        Some(true) => " trace=on",
-        Some(false) => " trace=off",
-    };
-    let net = match &flags.net {
-        None => String::new(),
-        Some(name) => format!(" net={name}"),
-    };
-    let dse = match dse {
-        None => String::new(),
-        Some(meta) => format!(
-            " candidates={} pruned={} kept={} objective={}",
-            meta.candidates,
-            meta.pruned,
-            meta.kept,
-            meta.objective_str()
-        ),
-    };
     format!(
-        "method={method} path={path} status={status} micros={micros} cache={} conn={conn}{trace}{net}{dse}",
+        "method={method} path={path} status={status} micros={micros} cache={} conn={conn}{tail}",
         cache.as_str()
     )
 }
 
-/// Per-request log decorations computed from the request path and the
-/// parsed body *before* dispatch: the `trace=` flag of `/v1/simulate` and
-/// `/v1/plan`, and the `net=` tag of `/v1/network`. Derived from the
-/// request — not the response — so cache hits, coalesced followers and
-/// rejections all log the same value the leader would.
-#[derive(Debug, Clone, Default)]
-pub struct LogFlags {
-    trace: Option<bool>,
-    net: Option<String>,
+/// The route-specific end of a request-log line (see
+/// [`format_request_log`]), derived from the request's route and parsed
+/// body — not from the response — so rejections log the same fields as
+/// answers. It is stored with the response, so cache hits and coalesced
+/// followers log exactly what the leader logged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogTail {
+    /// No trailing fields: every route without its own, and `/v1/dse`
+    /// requests that were not answered with a sweep.
+    None,
+    /// ` trace=on|off` — `/v1/simulate` and `/v1/plan`; `on` when the
+    /// parsed body carries a non-null `trace` (unparseable bodies log
+    /// `off`).
+    Trace(bool),
+    /// ` net=<name>` — `/v1/network`, already sanitized.
+    Net(String),
+    /// ` candidates=N pruned=N kept=N objective=...` — an answered
+    /// `/v1/dse` sweep or job acceptance.
+    Dse(api::DseLogMeta),
 }
 
-impl LogFlags {
-    /// Computes both flags for one request. `parsed` is `None` when the
-    /// body never parsed as JSON (structural 4xx paths).
-    fn of(path: &str, parsed: Option<&Value>) -> LogFlags {
-        LogFlags {
-            trace: trace_flag(path, parsed),
-            net: net_flag(path, parsed),
+impl std::fmt::Display for LogTail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LogTail::None => Ok(()),
+            LogTail::Trace(on) => write!(f, " trace={}", if *on { "on" } else { "off" }),
+            LogTail::Net(name) => write!(f, " net={name}"),
+            LogTail::Dse(meta) => write!(
+                f,
+                " candidates={} pruned={} kept={} objective={}",
+                meta.candidates,
+                meta.pruned,
+                meta.kept,
+                meta.objective_str()
+            ),
         }
     }
 }
 
-/// The request-log `trace=` flag: `Some` only for the endpoints that
-/// accept a `trace` option, `on` when the parsed body carries a
-/// non-null one (unparseable bodies log `off`).
-fn trace_flag(path: &str, parsed: Option<&Value>) -> Option<bool> {
-    if path != "/v1/simulate" && path != "/v1/plan" {
-        return None;
-    }
-    let on = parsed.is_some_and(|v| {
-        matches!(v, Value::Object(fields)
-            if fields.iter().any(|(k, f)| k == "trace" && !matches!(f, Value::Null)))
-    });
-    Some(on)
-}
-
-/// The request-log `net=` tag: `Some` only for `/v1/network`. Logs the
-/// preset name (`vgg16` when the field is absent or null — the handler's
-/// default), `custom` for a custom network object, and `-` for bodies
-/// that never parsed or carry a non-string, non-object `net`. The name is
+/// The request-log `net=` tag of a `/v1/network` body. Logs the preset
+/// name (`vgg16` when the field is absent or null — the handler's
+/// default), `custom` for a custom network object, and `-` for bodies that
+/// never parsed or carry a non-string, non-object `net`. The name is
 /// user-controlled, so it is clamped to `[A-Za-z0-9_-]` (other bytes
 /// become `_`) and 32 chars — a space or `=` in a hostile preset string
 /// must not forge extra `key=value` pairs in the pinned log shape.
-fn net_flag(path: &str, parsed: Option<&Value>) -> Option<String> {
-    if path != "/v1/network" {
-        return None;
-    }
+fn net_tag(parsed: Option<&Value>) -> String {
     let Some(Value::Object(fields)) = parsed else {
-        return Some("-".to_string());
+        return "-".to_string();
     };
-    let net = fields.iter().find(|(k, _)| k == "net").map(|(_, v)| v);
-    Some(match net {
+    match fields.iter().find(|(k, _)| k == "net").map(|(_, v)| v) {
         None | Some(Value::Null) => "vgg16".to_string(),
         Some(Value::Object(_)) => "custom".to_string(),
         Some(Value::String(name)) => name
@@ -354,7 +338,7 @@ fn net_flag(path: &str, parsed: Option<&Value>) -> Option<String> {
             })
             .collect(),
         Some(_) => "-".to_string(),
-    })
+    }
 }
 
 /// The fixed route vocabulary of the `latency` section of
@@ -376,10 +360,15 @@ pub const LATENCY_ROUTES: [&str; 11] = [
     "other",
 ];
 
-/// The route a request path names, derived by [`Route::of`] — the one
-/// place that maps paths to endpoints, shared by routing, admission and the
-/// latency histograms. Variants are in [`LATENCY_ROUTES`] order, which also
-/// holds their labels.
+/// The path prefix of a DSE job poll; the job id follows it.
+const DSE_JOB_PREFIX: &str = "/v1/dse/jobs/";
+
+/// The route a request path names, derived once per framed request by
+/// [`Route::of`] — the one place that maps paths to endpoints. The route
+/// alone decides gating and caching ([`Route::is_analysis`]), the
+/// transport of a POST ([`Route::Dse`] may stream or run as a job), the
+/// log fields ([`Route::log_tail`]) and the latency bucket. Variants are
+/// in [`LATENCY_ROUTES`] order, which also holds their labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
     Healthz,
@@ -414,13 +403,19 @@ impl Route {
     ];
 
     fn of(path: &str) -> Route {
-        if path.starts_with("/v1/dse/jobs/") {
+        if path.starts_with(DSE_JOB_PREFIX) {
             return Route::DseJob;
         }
         Route::ALL
             .into_iter()
-            .find(|&route| route != Route::DseJob && LATENCY_ROUTES[route as usize] == path)
+            .find(|&route| route != Route::DseJob && route.label() == path)
             .unwrap_or(Route::Other)
+    }
+
+    /// The route's [`LATENCY_ROUTES`] label — the path itself for every
+    /// served route.
+    fn label(self) -> &'static str {
+        LATENCY_ROUTES[self as usize]
     }
 
     /// The analysis endpoints: POST-only, cached, and bounded by the
@@ -435,6 +430,20 @@ impl Route {
                 | Route::Network
                 | Route::Dse
         )
+    }
+
+    /// What this route logs after the common fields, read off the parsed
+    /// body (`None` when it never parsed). `/v1/dse` logs nothing until a
+    /// sweep answers; its funnel then replaces this tail.
+    fn log_tail(self, parsed: Option<&Value>) -> LogTail {
+        match self {
+            Route::Simulate | Route::Plan => LogTail::Trace(parsed.is_some_and(|v| {
+                matches!(v, Value::Object(fields)
+                    if fields.iter().any(|(k, f)| k == "trace" && !matches!(f, Value::Null)))
+            })),
+            Route::Network => LogTail::Net(net_tag(parsed)),
+            _ => LogTail::None,
+        }
     }
 }
 
@@ -515,8 +524,8 @@ struct LatencyRecorder {
 impl LatencyRecorder {
     /// Books one request in its route's histogram — 404s and aborted
     /// connections (logged as `-`) in the trailing `other` one.
-    fn record(&self, path: &str, micros: u128) {
-        self.routes[Route::of(path) as usize].record(micros);
+    fn record(&self, route: Route, micros: u128) {
+        self.routes[route as usize].record(micros);
     }
 
     fn snapshot(&self) -> Vec<RouteLatencyStats> {
@@ -690,20 +699,17 @@ impl ConnTable {
     }
 }
 
-/// What one dispatched POST produced: the response plus the `/v1/dse`
-/// request-log metadata. Cached and coalesced together, so cache hits and
-/// coalesced followers log the same sweep funnel the leader computed.
+/// What answering one request produced: the response plus the log tail
+/// it logs. Cached and coalesced together, so cache hits and coalesced
+/// followers log what the leader logged.
 struct Produced {
     response: Response,
-    dse: Option<api::DseLogMeta>,
+    tail: LogTail,
 }
 
 impl Produced {
-    fn uncached(response: Response) -> Arc<Produced> {
-        Arc::new(Produced {
-            response,
-            dse: None,
-        })
+    fn new(response: Response, tail: LogTail) -> Arc<Produced> {
+        Arc::new(Produced { response, tail })
     }
 }
 
@@ -971,35 +977,56 @@ impl Conn {
     }
 }
 
-/// A fully framed request whose gate admission is deferred: everything
-/// `serve_one` had consumed off the socket when it found every permit
-/// busy, carried with its connection into the wait room and resumed
-/// verbatim once a permit release pumps it back onto a worker.
+/// One request as far as [`ServiceState::frame`] read it, with its route
+/// derived once. A gated request that finds every permit busy is carried
+/// verbatim, with its connection, into the wait room and resumed once a
+/// permit release pumps it back onto a worker.
 struct PendingRequest {
     /// When the bytes started arriving — latency is measured from first
-    /// read, so time shelved counts, exactly as waiting-room time did.
+    /// read, so time shelved counts.
     started: Instant,
-    head: http::Head,
+    /// Method and path as sent; `-` when no head could be read.
+    method: String,
+    path: String,
+    route: Route,
+    /// The client asked for a persistent connection (never after a framing
+    /// error: the unread rest of the byte stream cannot be trusted).
+    keep_alive: bool,
     body: Vec<u8>,
+    /// Why the request could not be framed; it is answered with this
+    /// error's status and the connection closes.
+    refused: Option<HttpError>,
 }
 
-/// What [`ServiceState::serve_one`] decided about the next request.
-enum ServeOutcome {
-    /// The request was answered (or aborted); `true` keeps the connection.
-    Done(bool),
-    /// The request is framed but every permit is busy: the caller moves
-    /// the connection into the wait room (or sheds when the room is full).
-    Shelve(PendingRequest),
+impl PendingRequest {
+    /// A request whose head never arrived (or a connection aborted before
+    /// one could): logged as `method=- path=-`, booked under `other`.
+    fn headless(started: Instant, refused: Option<HttpError>) -> PendingRequest {
+        PendingRequest {
+            started,
+            method: "-".to_string(),
+            path: "-".to_string(),
+            route: Route::Other,
+            keep_alive: false,
+            body: Vec::new(),
+            refused,
+        }
+    }
 }
 
-/// How a framed request got past the admission point.
-enum Admission<'a> {
-    /// Not a gated endpoint — no permit involved.
-    Ungated,
-    /// Holding a compute permit.
-    Granted(GatePermit<'a>),
-    /// Gate and wait room both full: answer `503 + Retry-After`.
-    Shed,
+/// How one request is answered.
+enum Reply {
+    /// A whole response, written with a `Content-Length`.
+    Framed(Arc<Produced>, CacheOutcome),
+    /// A chunked-transport `/v1/dse` sweep over this parsed body, written
+    /// frame by frame while the permit is held.
+    Chunked(Value),
+}
+
+impl Reply {
+    fn uncached(response: Response, tail: LogTail) -> Reply {
+        Reply::Framed(Produced::new(response, tail), CacheOutcome::Uncached)
+    }
 }
 
 /// One unit of I/O-worker work.
@@ -1027,7 +1054,7 @@ impl ServiceState {
         };
         ServiceState {
             response_cache: Mutex::new(LruCache::new(config.result_cache_capacity)),
-            gate: Arc::new(Gate::new(permits, config.queue_capacity)),
+            gate: Arc::new(Gate::new(permits)),
             config,
             flights: FlightMap::new(),
             counters: Arc::new(Counters::default()),
@@ -1088,61 +1115,86 @@ impl ServiceState {
         }
     }
 
-    /// The cached/coalesced POST path. The canonical key is the endpoint
-    /// plus the parsed, key-sorted, re-serialized body, so whitespace or
-    /// key-order differences in client JSON cannot split identical queries.
-    /// Responses travel as `Arc<Response>`: a cache hit clones a pointer
-    /// inside the lock, never a multi-kilobyte body.
-    fn post_response(
-        &self,
-        path: &str,
-        body: &[u8],
-    ) -> (Arc<Produced>, CacheOutcome, LogFlags) {
-        let parsed: Value = match std::str::from_utf8(body)
+    /// Answers one framed request from its route. Only the analysis POSTs
+    /// read the body ([`Self::post`]); everything else answers from the
+    /// route and method alone.
+    fn answer(&self, request: &PendingRequest) -> Reply {
+        let path = request.path.as_str();
+        let response = match (&request.refused, request.method.as_str(), request.route) {
+            (Some(e), _, _) => Response::error(e.status(), &e.message()),
+            (None, "POST", route) if route.is_analysis() => return self.post(request),
+            (None, "GET", Route::Healthz) => Response::json(200, "{\"status\": \"ok\"}"),
+            (None, "GET", Route::CacheStats) => self.cache_stats_response(),
+            (None, "GET", Route::DseJob) => {
+                let id = &path[DSE_JOB_PREFIX.len()..];
+                self.jobs.poll(id).unwrap_or_else(|| {
+                    Response::error(
+                        404,
+                        &format!(
+                            "no such DSE job `{id}` (the newest {DSE_JOB_RETENTION} \
+                             completed jobs are retained)"
+                        ),
+                    )
+                })
+            }
+            (None, "POST", Route::Shutdown) => self.shutdown_response(),
+            (None, _, Route::Other) => Response::error(404, &format!("no such endpoint `{path}`")),
+            (None, method, _) => {
+                Response::error(405, &format!("method {method} not allowed for {path}"))
+            }
+        };
+        Reply::uncached(response, request.route.log_tail(None))
+    }
+
+    /// The analysis POST path; the caller holds a gate permit. The body is
+    /// parsed once, then one `match` on the stream mode (always sync off
+    /// `/v1/dse`) picks the transport. Sync requests go through the cache:
+    /// the canonical key is the route plus the parsed, key-sorted,
+    /// re-serialized body, so whitespace or key-order differences in client
+    /// JSON cannot split identical queries, and responses travel as
+    /// `Arc<Produced>` — a cache hit clones a pointer inside the lock,
+    /// never a multi-kilobyte body.
+    fn post(&self, request: &PendingRequest) -> Reply {
+        let route = request.route;
+        let parsed: Value = match std::str::from_utf8(&request.body)
             .map_err(|_| "request body is not valid UTF-8".to_string())
             .and_then(|text| {
                 serde_json::from_str::<Value>(text).map_err(|e| format!("invalid JSON body: {e}"))
             }) {
             Ok(v) => v,
-            Err(msg) => {
-                return (
-                    Produced::uncached(Response::error(400, &msg)),
-                    CacheOutcome::Uncached,
-                    LogFlags::of(path, None),
-                )
-            }
+            Err(msg) => return Reply::uncached(Response::error(400, &msg), route.log_tail(None)),
         };
-        let flags = LogFlags::of(path, Some(&parsed));
-        // Job-mode `/v1/dse` never enters the cache or the flight map: an
-        // acceptance must register the job and spawn its sweep thread,
-        // which the pure dispatch cannot do, and idempotency is keyed on
-        // the job id instead of the canonical body.
-        if path == "/v1/dse" && api::stream_mode_hint(&parsed) == api::StreamMode::Job {
-            return (
-                self.dse_job_response(&parsed),
-                CacheOutcome::Uncached,
-                flags,
-            );
+        let mode = match route {
+            Route::Dse => api::stream_mode_hint(&parsed),
+            _ => api::StreamMode::Sync,
+        };
+        match mode {
+            // Job mode never enters the cache or the flight map: an
+            // acceptance must register the job and spawn its sweep thread,
+            // which the pure dispatch cannot do, and idempotency is keyed
+            // on the job id instead of the canonical body.
+            api::StreamMode::Job => {
+                return Reply::Framed(self.dse_job_response(&parsed), CacheOutcome::Uncached)
+            }
+            // Streams bypass the cache and the flight map too: the
+            // transport's value is live progress, and the final body is
+            // reachable cacheably via the synchronous mode anyway.
+            api::StreamMode::Chunked => return Reply::Chunked(parsed),
+            api::StreamMode::Sync => {}
         }
         let canonical = match serde_json::to_string(&api::canonical_value(&parsed)) {
             Ok(c) => c,
             Err(e) => {
-                return (
-                    Produced::uncached(Response::error(
-                        400,
-                        &format!("unrenderable JSON body: {e}"),
-                    )),
-                    CacheOutcome::Uncached,
-                    flags,
-                )
+                let response = Response::error(400, &format!("unrenderable JSON body: {e}"));
+                return Reply::uncached(response, route.log_tail(Some(&parsed)));
             }
         };
-        let key = format!("{path} {canonical}");
+        let key = format!("{} {canonical}", route.label());
         if let Some(hit) = lock_recover(&self.response_cache, "response cache").get(&key) {
             self.counters
                 .responses_cached
                 .fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(hit), CacheOutcome::Hit, flags);
+            return Reply::Framed(Arc::clone(hit), CacheOutcome::Hit);
         }
         // The response cache is bounded by *entry count*, so one oversized
         // body class (a 256-candidate `/v1/dse` sweep runs to ~0.6 MB;
@@ -1157,16 +1209,20 @@ impl ServiceState {
         // retires: once a key has been computed, later requests always find
         // either the in-flight computation or the cached response.
         let (produced, coalesced) = self.flights.run(key.clone(), || {
-            let (response, dse) = api::dispatch_with_meta(path, &parsed);
+            let (response, dse) = api::dispatch_with_meta(route.label(), &parsed);
             // The prune counter observes each sweep once, here at compute
             // time — cache hits and coalesced followers reuse the result
             // without re-counting work that never re-ran.
-            if let Some(meta) = &dse {
-                self.counters
-                    .dse_pruned
-                    .fetch_add(meta.pruned, Ordering::Relaxed);
-            }
-            let produced = Arc::new(Produced { response, dse });
+            let tail = match dse {
+                Some(meta) => {
+                    self.counters
+                        .dse_pruned
+                        .fetch_add(meta.pruned, Ordering::Relaxed);
+                    LogTail::Dse(meta)
+                }
+                None => route.log_tail(Some(&parsed)),
+            };
+            let produced = Produced::new(response, tail);
             if produced.response.status == 200
                 && produced.response.body.len() <= MAX_CACHEABLE_BODY_BYTES
             {
@@ -1180,7 +1236,7 @@ impl ServiceState {
         } else {
             CacheOutcome::Miss
         };
-        (produced, outcome, flags)
+        Reply::Framed(produced, outcome)
     }
 
     /// Accepts (or re-acknowledges) a job-mode `/v1/dse` request: validates
@@ -1193,20 +1249,23 @@ impl ServiceState {
     fn dse_job_response(&self, parsed: &Value) -> Arc<Produced> {
         let spec = match api::prepare_dse_job(parsed) {
             Ok(spec) => spec,
-            Err(e) => return Produced::uncached(e.into_response()),
+            Err(e) => return Produced::new(e.into_response(), LogTail::None),
         };
-        let accepted = Arc::new(Produced {
-            response: Response::json(200, spec.acceptance_body()),
-            dse: Some(spec.meta()),
-        });
+        let accepted = Produced::new(
+            Response::json(200, spec.acceptance_body()),
+            LogTail::Dse(spec.meta()),
+        );
         match self.jobs.begin(&spec.id) {
             JobAdmission::Existing => accepted,
             JobAdmission::Saturated => {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                Produced::uncached(Response::unavailable(
-                    "too many DSE jobs running; retry with backoff",
-                    RETRY_AFTER_SECS,
-                ))
+                Produced::new(
+                    Response::unavailable(
+                        "too many DSE jobs running; retry with backoff",
+                        RETRY_AFTER_SECS,
+                    ),
+                    LogTail::None,
+                )
             }
             JobAdmission::New { processed, pruned } => {
                 self.counters.dse_jobs.fetch_add(1, Ordering::Relaxed);
@@ -1221,32 +1280,23 @@ impl ServiceState {
                 let spawned = std::thread::Builder::new()
                     .name(format!("clb-dse-job-{}", &job_id[..8.min(job_id.len())]))
                     .spawn(move || {
-                        // The sweep takes a normal gate permit: background
+                        // The sweep waits for a normal gate permit: background
                         // jobs queue behind interactive requests instead of
-                        // oversubscribing the compute pool.
-                        let mut held_permit = false;
-                        let response = match gate.acquire() {
-                            None => Response::unavailable(
-                                "server was saturated; re-submit the job",
-                                RETRY_AFTER_SECS,
-                            ),
-                            Some(_permit) => {
-                                held_permit = true;
-                                let (response, pruned_total) = spec.run(&mut |done, cut| {
-                                    processed.store(done as u64, Ordering::Relaxed);
-                                    pruned.store(cut, Ordering::Relaxed);
-                                });
-                                counters
-                                    .dse_pruned
-                                    .fetch_add(pruned_total, Ordering::Relaxed);
-                                response
-                            }
-                        };
+                        // oversubscribing the compute pool. At most
+                        // `MAX_RUNNING_DSE_JOBS` threads ever wait here, so
+                        // the gate needs no waiting room of its own.
+                        let permit = gate.acquire();
+                        let (response, pruned_total) = spec.run(&mut |done, cut| {
+                            processed.store(done as u64, Ordering::Relaxed);
+                            pruned.store(cut, Ordering::Relaxed);
+                        });
+                        drop(permit);
+                        counters
+                            .dse_pruned
+                            .fetch_add(pruned_total, Ordering::Relaxed);
                         jobs.complete(&spec.id, response);
-                        if held_permit {
-                            if let Some(state) = state.and_then(|weak| weak.upgrade()) {
-                                state.admit_next();
-                            }
+                        if let Some(state) = state.and_then(|weak| weak.upgrade()) {
+                            state.admit_next();
                         }
                     });
                 if spawned.is_err() {
@@ -1279,101 +1329,46 @@ impl ServiceState {
         }
     }
 
-    /// The analysis endpoints whose compute is bounded by the [`Gate`].
-    /// `GET`s (health, stats) and the shutdown control plane stay
-    /// admissible under full load on purpose.
-    fn is_gated(method: &str, path: &str) -> bool {
-        method == "POST" && Route::of(path).is_analysis()
-    }
-
-    fn route(&self, head: &http::Head, body: &[u8]) -> (Arc<Produced>, CacheOutcome, LogFlags) {
-        let uncached =
-            |r: Response| (Produced::uncached(r), CacheOutcome::Uncached, LogFlags::default());
-        let path = head.path.as_str();
-        match (head.method.as_str(), Route::of(path)) {
-            ("GET", Route::Healthz) => uncached(Response::json(200, "{\"status\": \"ok\"}")),
-            ("GET", Route::CacheStats) => uncached(self.cache_stats_response()),
-            ("GET", Route::DseJob) => {
-                let id = &path["/v1/dse/jobs/".len()..];
-                uncached(match self.jobs.poll(id) {
-                    Some(response) => response,
-                    None => Response::error(
-                        404,
-                        &format!(
-                            "no such DSE job `{id}` (the newest {DSE_JOB_RETENTION} \
-                             completed jobs are retained)"
-                        ),
-                    ),
-                })
-            }
-            ("POST", Route::Shutdown) => uncached(self.shutdown_response()),
-            ("POST", route) if route.is_analysis() => self.post_response(path, body),
-            (_, Route::Other) => {
-                uncached(Response::error(404, &format!("no such endpoint `{path}`")))
-            }
-            (method, _) => uncached(Response::error(
-                405,
-                &format!("method {method} not allowed for {path}"),
-            )),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Books one request in its route's latency histogram — logging
+    /// enabled or not, they feed `/v1/cache_stats` — and hands its line to
+    /// the log sink.
     fn log_request(
         &self,
-        method: &str,
-        path: &str,
+        request: &PendingRequest,
         status: u16,
-        started: Instant,
         outcome: CacheOutcome,
         conn: u64,
-        flags: &LogFlags,
-        dse: Option<&api::DseLogMeta>,
+        tail: &LogTail,
     ) {
-        let micros = started.elapsed().as_micros();
-        // The histograms observe every request, logging enabled or not —
-        // they feed `/v1/cache_stats`, not the log sink.
-        self.latency.record(path, micros);
+        let micros = request.started.elapsed().as_micros();
+        self.latency.record(request.route, micros);
         if let Some(sink) = &self.config.log {
             sink(&format_request_log(
-                method, path, status, micros, outcome, conn, flags, dse,
+                &request.method,
+                &request.path,
+                status,
+                micros,
+                outcome,
+                conn,
+                tail,
             ));
         }
     }
 
-    /// Parses the body of a `POST /v1/dse` request whose `stream` field
-    /// asks for the chunked transport. `None` for everything else —
-    /// including bodies that do not parse, which fall through to the
-    /// normal path and its 400.
-    fn streamed_dse_body(head: &http::Head, body: &[u8]) -> Option<Value> {
-        if head.method != "POST" || head.path != "/v1/dse" {
-            return None;
-        }
-        let parsed: Value = std::str::from_utf8(body)
-            .ok()
-            .and_then(|text| serde_json::from_str(text).ok())?;
-        (api::stream_mode_hint(&parsed) == api::StreamMode::Chunked).then_some(parsed)
-    }
-
-    /// Serves one chunked-transport `/v1/dse` request — the caller holds
-    /// the gate permit (admission happened at the framing layer like any
-    /// gated POST): validates the whole request through
-    /// [`api::dse_staged_stream`] — errors before the first chunk
-    /// still answer as a plain framed response — then writes
-    /// `Transfer-Encoding: chunked` frames straight to the socket: one per
+    /// Streams one chunked-transport `/v1/dse` sweep onto the socket:
+    /// validates the whole request through [`api::dse_staged_stream`] —
+    /// errors before the first chunk still answer as a plain framed
+    /// response — then writes `Transfer-Encoding: chunked` frames: one per
     /// frontier snapshot, then the final body (byte-identical to the
-    /// `"stream": false` response), then the terminal zero chunk. Streams
-    /// bypass the response cache and the flight map: the transport's value
-    /// is live progress, and the final body is reachable cacheably via the
-    /// synchronous mode anyway. Returns `(status, write_ok, meta)` for the
-    /// request log.
+    /// `"stream": false` response), then the terminal zero chunk. Returns
+    /// what the request log records — on success a `200` whose body
+    /// already went out chunk by chunk — and whether every write landed.
     fn stream_dse(
         &self,
-        stream: &TcpStream,
+        mut writer: &TcpStream,
         parsed: &Value,
         keep: bool,
-    ) -> (u16, bool, Option<api::DseLogMeta>) {
-        let mut writer = stream;
+    ) -> (Arc<Produced>, bool) {
         let mut write_ok = true;
         let mut header_sent = false;
         let result = api::dse_staged_stream(parsed, &mut |chunk| {
@@ -1397,19 +1392,20 @@ impl ServiceState {
                 self.counters
                     .dse_pruned
                     .fetch_add(meta.pruned, Ordering::Relaxed);
-                (200, write_ok, Some(meta))
+                let streamed = Response::json(200, String::new());
+                (Produced::new(streamed, LogTail::Dse(meta)), write_ok)
             }
             Err(e) if !header_sent => {
                 let response = e.into_response();
                 let ok = response.write_conn(&mut writer, keep).is_ok();
-                (response.status, ok, None)
+                (Produced::new(response, LogTail::None), ok)
             }
-            Err(_) => {
+            Err(e) => {
                 // A render failure after snapshots already went out (never
                 // seen in practice): terminate the chunked body — the
                 // truncated stream is the only honest signal left.
                 let _ = writer.write_all(b"0\r\n\r\n");
-                (500, false, None)
+                (Produced::new(e.into_response(), LogTail::None), false)
             }
         }
     }
@@ -1435,43 +1431,56 @@ impl ServiceState {
                 }
             }
         }
-        self.serve_conn(conn)
+        self.serve_conn(conn, None)
     }
 
-    /// The keep-alive serving loop: zero or more complete requests, until
-    /// the socket has no more buffered input (re-park it — `Some`), the
-    /// lifecycle ends it (`None`: client close, `Connection: close`,
-    /// parse error, request bound, eviction, or drain), or admission
-    /// defers it into the gate wait room (`None`; the connection resumes
-    /// through [`Self::serve_admitted`]).
-    fn serve_conn(&self, mut conn: Conn) -> Option<Conn> {
+    /// The keep-alive serving loop: zero or more complete requests —
+    /// starting with `shelved` when [`Self::admit_next`] pumped one off the
+    /// wait room — until the socket has no more buffered input (re-park
+    /// it — `Some`), the lifecycle ends it (`None`: client close,
+    /// `Connection: close`, framing error, request bound, eviction, or
+    /// drain), or admission defers it into the gate wait room (`None`; the
+    /// connection resumes through another `serve_conn`).
+    ///
+    /// Admission never blocks: a gated request takes a permit through
+    /// `try_acquire`, and one that finds every permit busy is shelved —
+    /// connection and all — or, with the wait room full, shed with
+    /// `503 + Retry-After`. Its body was already read, so a shed
+    /// connection stays consistent for keep-alive reuse.
+    fn serve_conn(&self, mut conn: Conn, mut shelved: Option<PendingRequest>) -> Option<Conn> {
         loop {
-            if !self.table.mark_busy(conn.id) {
+            let mut request = match shelved.take() {
+                // Resumed from the wait room: still marked busy — it was
+                // mid-request all along.
+                Some(request) => request,
                 // Evicted between the bytes arriving and now.
-                self.finish(conn.id);
-                return None;
-            }
-            let keep = match self.serve_one(&mut conn) {
-                ServeOutcome::Done(keep) => keep,
-                ServeOutcome::Shelve(pending) => match self.shelve(conn, pending) {
-                    // The wait room owns the connection now; it stays
-                    // marked busy — it is mid-request until its answer
-                    // finally goes out.
-                    None => return None,
-                    Some((given_back, pending)) => {
-                        conn = given_back;
-                        self.answer_framed(&mut conn, pending, Admission::Shed)
-                    }
-                },
+                None if !self.table.mark_busy(conn.id) => break,
+                None => self.frame(&mut conn),
             };
-            if !keep {
-                self.finish(conn.id);
-                return None;
-            }
-            if !self.table.mark_idle(conn.id) {
-                // Draining (or evicted mid-response).
-                self.finish(conn.id);
-                return None;
+            let gated = request.refused.is_none()
+                && request.method == "POST"
+                && request.route.is_analysis();
+            let permit = if gated { self.gate.try_acquire() } else { None };
+            let reply = if gated && permit.is_none() {
+                match self.shelve(conn, request) {
+                    // The wait room owns the connection now.
+                    None => return None,
+                    Some(given_back) => {
+                        (conn, request) = given_back;
+                        self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                        let shed = Response::unavailable(
+                            "server is saturated; retry with backoff",
+                            RETRY_AFTER_SECS,
+                        );
+                        Reply::uncached(shed, request.route.log_tail(None))
+                    }
+                }
+            } else {
+                self.answer(&request)
+            };
+            if !self.respond(&mut conn, &request, reply, permit) || !self.table.mark_idle(conn.id) {
+                // Closing, draining, or evicted mid-response.
+                break;
             }
             if conn.reader.buffer().is_empty() {
                 return Some(conn);
@@ -1479,36 +1488,97 @@ impl ServiceState {
             // Pipelined bytes already buffered in user space are
             // invisible to epoll: serve them now, never park them.
         }
+        self.finish(conn.id);
+        None
     }
 
-    /// Resumes a shelved request once [`Self::admit_next`] pumped it off
-    /// the wait room: re-attempts admission (the permit that freed may
-    /// have been taken again in the meantime — then back to the room),
-    /// answers, and rejoins the normal keep-alive loop for any pipelined
-    /// bytes. The connection is still marked busy from before the shelve.
-    fn serve_admitted(&self, mut conn: Conn, pending: PendingRequest) -> Option<Conn> {
-        let keep = match self.gate.try_acquire() {
-            Some(permit) => self.answer_framed(&mut conn, pending, Admission::Granted(permit)),
-            None => match self.shelve(conn, pending) {
-                None => return None,
-                Some((given_back, pending)) => {
-                    conn = given_back;
-                    self.answer_framed(&mut conn, pending, Admission::Shed)
-                }
-            },
+    /// Reads and frames exactly one request: the head, the `100 Continue`
+    /// interim response when asked for (only for a body the server will
+    /// read) and the body. On success the byte stream is consumed through
+    /// the end of the request, so whatever happens next — shelve and shed
+    /// included — the connection stays consistent for reuse. A framing
+    /// failure (malformed or oversized head or body, stall, deadline,
+    /// truncation) comes back as [`PendingRequest::refused`].
+    fn frame(&self, conn: &mut Conn) -> PendingRequest {
+        let started = Instant::now();
+        let deadline = Some(started + self.config.request_deadline);
+        let max_body = self.config.max_body_bytes;
+        let head = match http::read_head_buffered(&mut conn.reader, deadline) {
+            Ok(head) => head,
+            Err(e) => return PendingRequest::headless(started, Some(e)),
         };
-        if !keep {
-            self.finish(conn.id);
-            return None;
+        // An oversized body is refused unread (413), so it gets no go-ahead.
+        let go_ahead = head.expects_continue() && (1..=max_body).contains(&head.content_length);
+        let continued = if go_ahead {
+            http::write_continue(&mut conn.reader.get_ref())
+                .map_err(|e| HttpError::Io(e.to_string()))
+        } else {
+            Ok(())
+        };
+        let framed = continued.and_then(|()| {
+            http::read_body(&mut conn.reader, head.content_length, max_body, deadline)
+        });
+        let keep_alive = framed.is_ok() && head.wants_keepalive();
+        let (body, refused) = match framed {
+            Ok(body) => (body, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        PendingRequest {
+            started,
+            route: Route::of(&head.path),
+            method: head.method,
+            path: head.path,
+            keep_alive,
+            body,
+            refused,
         }
-        if !self.table.mark_idle(conn.id) {
-            self.finish(conn.id);
-            return None;
+    }
+
+    /// The response phase of every request, framed or streamed: request
+    /// counters, the keep-alive decision, the permit release, the socket
+    /// write and the log line. The permit is released as soon as the
+    /// compute is done — before a framed write, after a stream — so the
+    /// freed permit pumps the wait room immediately. Returns whether the
+    /// connection should be kept alive.
+    fn respond(
+        &self,
+        conn: &mut Conn,
+        request: &PendingRequest,
+        reply: Reply,
+        permit: Option<GatePermit<'_>>,
+    ) -> bool {
+        conn.served += 1;
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        if conn.served > 1 {
+            self.counters
+                .keepalive_reuses
+                .fetch_add(1, Ordering::Relaxed);
         }
-        if conn.reader.buffer().is_empty() {
-            return Some(conn);
+        let keep = request.keep_alive
+            && conn.served < self.config.max_requests_per_connection.max(1)
+            && !self.table.is_draining();
+        let mut writer = conn.reader.get_ref();
+        let (produced, outcome, streamed) = match reply {
+            Reply::Framed(produced, outcome) => (produced, outcome, None),
+            Reply::Chunked(parsed) => {
+                let (produced, write_ok) = self.stream_dse(writer, &parsed, keep);
+                (produced, CacheOutcome::Uncached, Some(write_ok))
+            }
+        };
+        if let Some(permit) = permit {
+            drop(permit);
+            self.admit_next();
         }
-        self.serve_conn(conn)
+        let write_ok =
+            streamed.unwrap_or_else(|| produced.response.write_conn(&mut writer, keep).is_ok());
+        self.log_request(
+            request,
+            produced.response.status,
+            outcome,
+            conn.id,
+            &produced.tail,
+        );
+        keep && write_ok
     }
 
     /// Moves a framed-but-unadmitted request (and its connection) into
@@ -1541,7 +1611,9 @@ impl ServiceState {
     /// best-effort and closed — never dropped silently.
     fn admit_next(&self) {
         let popped = lock_recover(&self.wait_room, "gate wait room").pop_front();
-        let Some((conn, pending)) = popped else { return };
+        let Some((conn, pending)) = popped else {
+            return;
+        };
         match self.ready_queue.get() {
             Some(queue) => {
                 if let Err(Work::Admit(conn, _)) = queue.try_push(Work::Admit(conn, pending)) {
@@ -1560,242 +1632,6 @@ impl ServiceState {
         let _ = Response::unavailable("server is overloaded; retry with backoff", RETRY_AFTER_SECS)
             .write_conn(&mut writer, false);
         self.finish(conn.id);
-    }
-
-    /// Reads and frames exactly one request on a ready connection, then
-    /// answers it — unless it is gated and no permit is free, in which
-    /// case the fully framed request is handed back for shelving
-    /// ([`ServeOutcome::Shelve`]). The byte stream is consumed up to the
-    /// end of the request either way, so a shelved connection stays
-    /// consistent for keep-alive reuse. Never blocks on the gate.
-    fn serve_one(&self, conn: &mut Conn) -> ServeOutcome {
-        let started = Instant::now();
-        let deadline = Some(started + self.config.request_deadline);
-        let head = match http::read_head_buffered(&mut conn.reader, deadline) {
-            Ok(head) => head,
-            Err(e) => {
-                // Unframable: answer and close (may_keep false).
-                let produced = Produced::uncached(Response::error(e.status(), &e.message()));
-                let keep = self.respond(
-                    conn,
-                    started,
-                    ("-".to_string(), "-".to_string()),
-                    produced,
-                    CacheOutcome::Uncached,
-                    LogFlags::default(),
-                    false,
-                );
-                return ServeOutcome::Done(keep);
-            }
-        };
-        if head.content_length > self.config.max_body_bytes {
-            // Refuse before reading; the unread body poisons the framing,
-            // so this response closes the connection (may_keep false).
-            let produced = Produced::uncached(Response::error(
-                413,
-                &HttpError::PayloadTooLarge {
-                    limit: self.config.max_body_bytes,
-                }
-                .message(),
-            ));
-            let flags = LogFlags::of(&head.path, None);
-            let keep = self.respond(
-                conn,
-                started,
-                (head.method, head.path),
-                produced,
-                CacheOutcome::Uncached,
-                flags,
-                false,
-            );
-            return ServeOutcome::Done(keep);
-        }
-        if head.expects_continue() && head.content_length > 0 {
-            let mut w = conn.reader.get_ref();
-            if http::write_continue(&mut w).is_err() {
-                return ServeOutcome::Done(false);
-            }
-        }
-        let body = match http::read_body(
-            &mut conn.reader,
-            head.content_length,
-            self.config.max_body_bytes,
-            deadline,
-        ) {
-            Ok(body) => body,
-            Err(e) => {
-                let produced = Produced::uncached(Response::error(e.status(), &e.message()));
-                let flags = LogFlags::of(&head.path, None);
-                let keep = self.respond(
-                    conn,
-                    started,
-                    (head.method, head.path),
-                    produced,
-                    CacheOutcome::Uncached,
-                    flags,
-                    false,
-                );
-                return ServeOutcome::Done(keep);
-            }
-        };
-        // The whole request is consumed: whatever happens next (shelve
-        // and shed included), the byte stream stays consistent for reuse.
-        let pending = PendingRequest {
-            started,
-            head,
-            body,
-        };
-        if Self::is_gated(&pending.head.method, &pending.head.path) {
-            match self.gate.try_acquire() {
-                Some(permit) => ServeOutcome::Done(self.answer_framed(
-                    conn,
-                    pending,
-                    Admission::Granted(permit),
-                )),
-                None => ServeOutcome::Shelve(pending),
-            }
-        } else {
-            ServeOutcome::Done(self.answer_framed(conn, pending, Admission::Ungated))
-        }
-    }
-
-    /// Answers one fully framed request under a resolved admission
-    /// decision. Returns whether the connection should be kept alive.
-    fn answer_framed(
-        &self,
-        conn: &mut Conn,
-        pending: PendingRequest,
-        admission: Admission<'_>,
-    ) -> bool {
-        let PendingRequest {
-            started,
-            head,
-            body,
-        } = pending;
-        let may_keep = head.wants_keepalive();
-        let max_requests = self.config.max_requests_per_connection.max(1);
-        match admission {
-            Admission::Granted(permit) => {
-                if let Some(parsed) = Self::streamed_dse_body(&head, &body) {
-                    // Chunked transport: the response — stream or plain
-                    // error — is written inside `stream_dse` (the framed
-                    // machinery below builds one Content-Length body,
-                    // which a million-candidate stream must not).
-                    let keep_planned =
-                        may_keep && conn.served + 1 < max_requests && !self.table.is_draining();
-                    let (status, write_ok, meta) =
-                        self.stream_dse(conn.reader.get_ref(), &parsed, keep_planned);
-                    drop(permit);
-                    self.admit_next();
-                    conn.served += 1;
-                    self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    if conn.served > 1 {
-                        self.counters
-                            .keepalive_reuses
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.log_request(
-                        &head.method,
-                        &head.path,
-                        status,
-                        started,
-                        CacheOutcome::Uncached,
-                        conn.id,
-                        &LogFlags::default(),
-                        meta.as_ref(),
-                    );
-                    return write_ok
-                        && may_keep
-                        && conn.served < max_requests
-                        && !self.table.is_draining();
-                }
-                let (produced, outcome, flags) = self.route(&head, &body);
-                // The compute is done: release before the socket write so
-                // the freed permit pumps the wait room immediately (same
-                // release point as the old waiting-room model).
-                drop(permit);
-                self.admit_next();
-                self.respond(
-                    conn,
-                    started,
-                    (head.method, head.path),
-                    produced,
-                    outcome,
-                    flags,
-                    may_keep,
-                )
-            }
-            Admission::Ungated => {
-                let (produced, outcome, flags) = self.route(&head, &body);
-                self.respond(
-                    conn,
-                    started,
-                    (head.method, head.path),
-                    produced,
-                    outcome,
-                    flags,
-                    may_keep,
-                )
-            }
-            Admission::Shed => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                let produced = Produced::uncached(Response::unavailable(
-                    "server is saturated; retry with backoff",
-                    RETRY_AFTER_SECS,
-                ));
-                let flags = LogFlags::of(&head.path, None);
-                self.respond(
-                    conn,
-                    started,
-                    (head.method, head.path),
-                    produced,
-                    CacheOutcome::Uncached,
-                    flags,
-                    may_keep,
-                )
-            }
-        }
-    }
-
-    /// The response phase shared by every framed (non-streaming) answer:
-    /// request bookkeeping, the keep-alive decision, the socket write and
-    /// the request log. `started` is when the request's first byte was
-    /// read, so shelved time counts toward the logged latency. Returns
-    /// whether the connection should be kept alive.
-    #[allow(clippy::too_many_arguments)]
-    fn respond(
-        &self,
-        conn: &mut Conn,
-        started: Instant,
-        (method, path): (String, String),
-        produced: Arc<Produced>,
-        outcome: CacheOutcome,
-        flags: LogFlags,
-        may_keep: bool,
-    ) -> bool {
-        conn.served += 1;
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        if conn.served > 1 {
-            self.counters
-                .keepalive_reuses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let keep = may_keep
-            && conn.served < self.config.max_requests_per_connection.max(1)
-            && !self.table.is_draining();
-        let mut writer = conn.reader.get_ref();
-        let write_ok = produced.response.write_conn(&mut writer, keep).is_ok();
-        self.log_request(
-            &method,
-            &path,
-            produced.response.status,
-            started,
-            outcome,
-            conn.id,
-            &flags,
-            produced.dse.as_ref(),
-        );
-        keep && write_ok
     }
 
     fn finish(&self, conn_id: u64) {
@@ -2012,7 +1848,7 @@ fn run_worker(
         let conn_id = work.conn_id();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match work {
             Work::Ready(conn) => state.serve_ready(conn),
-            Work::Admit(conn, pending) => state.serve_admitted(conn, pending),
+            Work::Admit(conn, pending) => state.serve_conn(conn, Some(pending)),
         }));
         match outcome {
             Ok(Some(conn)) => match park_tx.send(conn) {
@@ -2059,10 +1895,7 @@ impl Server {
         let _ = server.state.stopper.set(server.stop_handle());
         // Detached DSE job threads outlive request scope but must still
         // pump the gate wait room when their permit releases.
-        let _ = server
-            .state
-            .self_ref
-            .set(Arc::downgrade(&server.state));
+        let _ = server.state.self_ref.set(Arc::downgrade(&server.state));
         Ok(server)
     }
 
@@ -2159,14 +1992,11 @@ impl Server {
                         })
                     {
                         self.state.log_request(
-                            "-",
-                            "-",
+                            &PendingRequest::headless(Instant::now(), None),
                             0,
-                            Instant::now(),
                             CacheOutcome::Uncached,
                             conn_id,
-                            &LogFlags::default(),
-                            None,
+                            &LogTail::None,
                         );
                         eprintln!(
                             "clb-conn-{conn_id}: socket timeouts unavailable ({e}); \

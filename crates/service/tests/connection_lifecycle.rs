@@ -566,8 +566,8 @@ fn saturated_gate_does_not_starve_ungated_traffic() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(150)); // let them frame and shelve
-    // Ungated traffic must answer promptly even though the gate stays
-    // saturated for several more slow computations.
+                                                    // Ungated traffic must answer promptly even though the gate stays
+                                                    // saturated for several more slow computations.
     let probe = Instant::now();
     let (status, _) = one_shot(addr, "GET", "/healthz", "");
     let healthz_elapsed = probe.elapsed();

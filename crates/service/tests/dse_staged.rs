@@ -364,6 +364,69 @@ fn job_mode_runs_the_full_lifecycle() {
     server.shutdown().unwrap();
 }
 
+/// With one compute permit and no wait room, concurrent gated load makes
+/// requests shed — but an *accepted* job only ever waits for the permit:
+/// every one must end `200`, never as a `503` left in the job table (where
+/// an idempotent re-submission would find it for good).
+#[test]
+fn accepted_jobs_end_200_under_a_saturated_gate() {
+    let server = Server::spawn(ServiceConfig {
+        threads: 1,
+        queue_capacity: 0,
+        ..ServiceConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let addr = server.addr();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    // Nothing asserts inside the scope: a failure there would leave the
+    // load threads spinning and the scope waiting on them forever.
+    let finals: Vec<(u16, String)> = std::thread::scope(|scope| {
+        // Three clients keep the only permit busy; their sheds are expected.
+        for _ in 0..3 {
+            scope.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let body = "{\"co\":16,\"size\":14,\"ci\":8,\"batch\":1}";
+                    request(addr, "POST", "/v1/bound", body);
+                }
+            });
+        }
+        // Distinct jobs (one per `top_k`), each submitted until accepted,
+        // then polled until it leaves `running`.
+        let finals = (1..=12)
+            .map(|top_k| {
+                let body = staged_body(&format!(
+                    "\"objective\":\"energy\",\"top_k\":{top_k},\"stream\":\"job\""
+                ));
+                let mut last = request(addr, "POST", "/v1/dse", &body);
+                while last.0 == 503 && std::time::Instant::now() < deadline {
+                    last = request(addr, "POST", "/v1/dse", &body);
+                }
+                let Ok(accepted) = serde_json::from_str::<Value>(&last.1) else {
+                    return last;
+                };
+                let Ok(poll) = accepted.get_field("poll").and_then(Value::as_str) else {
+                    return last;
+                };
+                loop {
+                    let polled = request(addr, "GET", poll, "");
+                    if !polled.1.contains("\"running\"") || std::time::Instant::now() > deadline {
+                        return polled;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+            })
+            .collect();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        finals
+    });
+    server.shutdown().unwrap();
+    for (status, body) in &finals {
+        assert_eq!(*status, 200, "{body}");
+        assert!(body.contains("\"evaluated\""), "a finished sweep: {body}");
+    }
+}
+
 #[test]
 fn candidate_caps_differ_between_legacy_and_staged() {
     // A 512-point grid: over the legacy 256 cap, comfortably under the

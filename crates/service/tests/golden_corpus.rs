@@ -376,7 +376,9 @@ fn corpus() -> Vec<(String, &'static str, &'static str, Option<Value>)> {
                 (
                     "layers",
                     Value::Array(
-                        (0..64).map(|_| custom_layer(4096.0, 4096.0, 128.0)).collect(),
+                        (0..64)
+                            .map(|_| custom_layer(4096.0, 4096.0, 128.0))
+                            .collect(),
                     ),
                 ),
             ]),

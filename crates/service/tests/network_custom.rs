@@ -117,10 +117,10 @@ fn cap_violations_are_typed_422s() {
         obj(vec![("co", num(co)), ("ci", num(ci)), ("size", num(size))])
     };
     let net = |layers: Vec<Value>| {
-        obj(vec![
-            ("net",
-             obj(vec![("batch", num(1.0)), ("layers", Value::Array(layers))])),
-        ])
+        obj(vec![(
+            "net",
+            obj(vec![("batch", num(1.0)), ("layers", Value::Array(layers))]),
+        )])
     };
     let cases: Vec<(Value, &str)> = vec![
         (net(vec![layer(1e9, 3.0, 14.0)]), "co must be"),
@@ -167,9 +167,7 @@ fn cap_violations_are_typed_422s() {
     }
     // The aggregate MAC cap: every layer individually inside the per-layer
     // caps, the u128 total over MAX_NETWORK_MACS.
-    let big: Vec<Value> = (0..64)
-        .map(|_| layer(4096.0, 4096.0, 128.0))
-        .collect();
+    let big: Vec<Value> = (0..64).map(|_| layer(4096.0, 4096.0, 128.0)).collect();
     let response = api::dispatch("/v1/network", &net(big));
     assert_eq!(response.status, 422, "{}", response.body);
     assert!(response.body.contains("total MACs"), "{}", response.body);
@@ -298,5 +296,9 @@ fn custom_batch_rules() {
     ]);
     let response = api::dispatch("/v1/network", &conflicted);
     assert_eq!(response.status, 400, "{}", response.body);
-    assert!(response.body.contains("drop the top-level"), "{}", response.body);
+    assert!(
+        response.body.contains("drop the top-level"),
+        "{}",
+        response.body
+    );
 }

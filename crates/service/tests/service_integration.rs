@@ -17,6 +17,12 @@ use serde::Value;
 /// connection reuse (that's `connection_lifecycle.rs`), and `read_to_string`
 /// needs the server to close the socket to delimit the response.
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    parse_response(&raw_request(addr, method, path, body))
+}
+
+/// [`request`]'s exchange, returning the raw response bytes — for
+/// responses without a `Content-Length` (chunked streams).
+fn raw_request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to test server");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(30)))
@@ -29,7 +35,7 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
     .expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
-    parse_response(&raw)
+    raw
 }
 
 /// Extracts one `key=value` field from a structured request-log line.
@@ -425,7 +431,12 @@ fn request_log_lines_have_the_pinned_shape() {
     // /v1/network lines end with a net= tag: the preset name, `custom` for
     // a network object, sanitized so hostile names cannot forge extra
     // key=value pairs in the line.
-    let (status, _) = request(addr, "POST", "/v1/network", "{\"net\":\"alexnet\",\"batch\":1}");
+    let (status, _) = request(
+        addr,
+        "POST",
+        "/v1/network",
+        "{\"net\":\"alexnet\",\"batch\":1}",
+    );
     assert_eq!(status, 200);
     let custom = "{\"net\":{\"name\":\"t\",\"batch\":1,\
          \"layers\":[{\"co\":8,\"ci\":3,\"size\":14}]}}";
@@ -648,6 +659,76 @@ fn request_log_covers_network_mode_dse() {
             .any(|l| log_field(l, "cache") == "coalesced"),
         "identical concurrent sweeps must coalesce: {ok_lines:?}"
     );
+}
+
+/// The three `/v1/dse` transports through the request log, driven to exact
+/// values: a chunked stream, a job acceptance and a chunked request whose
+/// staged options are rejected each log one pinned line, and each books
+/// exactly one `/v1/dse` latency count.
+#[test]
+fn request_log_pins_the_dse_transports() {
+    let lines = std::sync::Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
+    let sink_lines = std::sync::Arc::clone(&lines);
+    let config = ServiceConfig {
+        log: Some(std::sync::Arc::new(move |line: &str| {
+            sink_lines.lock().unwrap().push(line.to_string());
+        })),
+        ..ServiceConfig::default()
+    };
+    let server = Server::spawn(config).expect("bind an ephemeral port");
+    let addr = server.addr();
+    let grid = "\"co\":16,\"size\":14,\"ci\":8,\"batch\":1,\
+                \"grid\":{\"pe_rows\":[8,16],\"pe_cols\":[8,16]}";
+
+    let streamed = raw_request(
+        addr,
+        "POST",
+        "/v1/dse",
+        &format!("{{{grid},\"top_k\":2,\"stream\":true}}"),
+    );
+    assert!(streamed.starts_with("HTTP/1.1 200 OK\r\n"), "{streamed}");
+    assert!(
+        streamed.contains("Transfer-Encoding: chunked\r\n"),
+        "{streamed}"
+    );
+    assert!(streamed.ends_with("\r\n0\r\n\r\n"), "{streamed}");
+    let job = format!("{{{grid},\"objective\":\"energy\",\"stream\":\"job\"}}");
+    let (status, body) = request(addr, "POST", "/v1/dse", &job);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"accepted\""), "{body}");
+    let rejected = format!("{{{grid},\"objective\":\"latency\",\"stream\":true}}");
+    let (status, body) = request(addr, "POST", "/v1/dse", &rejected);
+    assert_eq!(status, 422, "{body}");
+    let (status, stats_body) = request(addr, "GET", "/v1/cache_stats", "");
+    assert_eq!(status, 200);
+    server.shutdown().unwrap();
+
+    // Every field but the timing and the connection id is exact.
+    let lines: Vec<String> = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|line| {
+            line.split(' ')
+                .filter(|kv| !kv.starts_with("micros=") && !kv.starts_with("conn="))
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            "method=POST path=/v1/dse status=200 cache=- \
+             candidates=4 pruned=0 kept=2 objective=cycles",
+            "method=POST path=/v1/dse status=200 cache=- \
+             candidates=4 pruned=0 kept=0 objective=energy",
+            "method=POST path=/v1/dse status=422 cache=miss",
+            "method=GET path=/v1/cache_stats status=200 cache=-",
+        ]
+    );
+    let stats: clb_service::CacheStatsResponse = serde_json::from_str(&stats_body).unwrap();
+    let dse = stats.latency.iter().find(|r| r.route == "/v1/dse").unwrap();
+    assert_eq!(dse.count, 3, "{stats_body}");
 }
 
 #[test]

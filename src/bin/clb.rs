@@ -917,7 +917,10 @@ mod tests {
         // Structural and cap failures surface the service's message under
         // the flag's name.
         let err = net_from_flags(&flags(&[("net-json", "{nope")])).unwrap_err();
-        assert!(err.contains("--net-json") && err.contains("invalid JSON"), "{err}");
+        assert!(
+            err.contains("--net-json") && err.contains("invalid JSON"),
+            "{err}"
+        );
         let err =
             net_from_flags(&flags(&[("net-json", "{\"batch\":1,\"layers\":[]}")])).unwrap_err();
         assert!(err.contains("at least one layer"), "{err}");
