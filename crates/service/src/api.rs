@@ -15,7 +15,7 @@ use clb_core::{Accelerator, LayerReport, NetworkReport, OnChipMemory};
 use conv_model::workloads::Network;
 use conv_model::{workloads, ConvLayer, Padding};
 use dataflow::{found_minimum, search_dataflow, DataflowChoice, DataflowKind, Tiling};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 
 use crate::http::Response;
 
@@ -116,6 +116,30 @@ fn unknown_key<'a>(v: &'a Value, known: &[&str]) -> Option<&'a str> {
         .iter()
         .map(|(key, _)| key.as_str())
         .find(|key| !known.contains(key))
+}
+
+/// The layer-spec keys ([`LayerSpec`]'s fields), shared by the layer
+/// endpoints and layer-mode `/v1/dse`.
+const LAYER_KEYS: [&str; 6] = ["co", "size", "ci", "k", "stride", "batch"];
+
+/// Refuses a request body whose top level carries a key outside `known`,
+/// with a 400 naming the key. Every endpoint runs it before its other
+/// checks: with most fields optional, a typo (`"strid"`) would otherwise
+/// silently analyze the default.
+fn check_top_level_keys(v: &Value, known: &[&str]) -> Result<(), ApiError> {
+    match unknown_key(v, known) {
+        None => Ok(()),
+        Some(key) => Err(ApiError::BadRequest(format!(
+            "unknown field `{key}` (expected one of {})",
+            known.join(", ")
+        ))),
+    }
+}
+
+/// [`check_top_level_keys`] for a layer endpoint: the [`LAYER_KEYS`] plus
+/// the endpoint's own `extra` keys.
+fn check_layer_keys(v: &Value, extra: &[&str]) -> Result<(), ApiError> {
+    check_top_level_keys(v, &[&LAYER_KEYS[..], extra].concat())
 }
 
 fn require<T: Deserialize>(v: &Value, name: &str) -> Result<T, ApiError> {
@@ -374,22 +398,36 @@ fn render<T: Serialize>(value: &T) -> Result<String, ApiError> {
     serde_json::to_string_pretty(value).map_err(|e| ApiError::Internal(e.to_string()))
 }
 
-/// Recursively sorts object keys so two spellings of the same JSON value
-/// render to the same canonical string (the shim's `Value::Object`
-/// preserves client field order) — the basis of the server's response-cache
-/// key and of [`dse_job_id`].
-pub(crate) fn canonical_value(v: &Value) -> Value {
-    match v {
-        Value::Object(fields) => {
-            let mut sorted: Vec<(String, Value)> = fields
-                .iter()
-                .map(|(k, val)| (k.clone(), canonical_value(val)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
+/// A parsed body that renders with every object's keys sorted,
+/// recursively, so two spellings of the same JSON value render to the same
+/// canonical string (the shim's `Value::Object` preserves client field
+/// order) — the basis of the server's response-cache key and of
+/// [`dse_job_id`]. It borrows the tree: rendering sorts references to each
+/// object's fields and copies nothing.
+pub(crate) struct Canonical<'a>(pub(crate) &'a Value);
+
+impl Serialize for Canonical<'_> {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        match self.0 {
+            Value::Array(items) => {
+                out.begin_array();
+                for item in items {
+                    Canonical(item).serialize(out);
+                }
+                out.end_array();
+            }
+            Value::Object(fields) => {
+                let mut sorted: Vec<&(String, Value)> = fields.iter().collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                out.begin_object();
+                for (key, value) in sorted {
+                    out.key(key);
+                    Canonical(value).serialize(out);
+                }
+                out.end_object();
+            }
+            scalar => scalar.serialize(out),
         }
-        Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),
-        other => other.clone(),
     }
 }
 
@@ -520,6 +558,7 @@ pub struct BoundResponse {
 ///
 /// [`ApiError`] on malformed or out-of-limit requests.
 pub fn bound_response(v: &Value) -> Result<String, ApiError> {
+    check_layer_keys(v, &["mem_kib", "arch"])?;
     let layer = LayerSpec::from_value(v)?.to_layer()?;
     let mem_kib = parse_mem_choice(v)?;
     let mem = OnChipMemory::from_kib(mem_kib);
@@ -568,6 +607,7 @@ pub struct SweepResponse {
 ///
 /// [`ApiError`] on malformed or out-of-limit requests.
 pub fn sweep_response(v: &Value) -> Result<String, ApiError> {
+    check_layer_keys(v, &["mem_kib", "arch"])?;
     let layer = LayerSpec::from_value(v)?.to_layer()?;
     let mem_kib = parse_mem_choice(v)?;
     let mem = OnChipMemory::from_kib(mem_kib);
@@ -619,6 +659,7 @@ pub struct ArchPlanResponse {
 /// the dataflow fits the implementation/architecture (422), or when a
 /// requested trace exceeds the trace caps (422).
 pub fn plan_response(v: &Value) -> Result<String, ApiError> {
+    check_layer_keys(v, &["implem", "arch", "trace"])?;
     let layer = LayerSpec::from_value(v)?.to_layer()?;
     let choice = parse_arch_choice(v)?;
     let trace_request = parse_trace_request(v)?;
@@ -706,6 +747,7 @@ pub struct ArchSimulateResponse {
 /// invalid architectures, invalid/zero tilings or simulation-infeasible
 /// blockings (422).
 pub fn simulate_response(v: &Value) -> Result<String, ApiError> {
+    check_layer_keys(v, &["implem", "arch", "tiling", "trace"])?;
     let layer = LayerSpec::from_value(v)?.to_layer()?;
     let choice = parse_arch_choice(v)?;
     let tiling: Tiling = require(v, "tiling")?;
@@ -1079,6 +1121,7 @@ pub fn network_from_value(v: &Value) -> Result<(Network, usize), ApiError> {
 /// [`ApiError`] on malformed requests, unknown network names, custom
 /// networks violating [`network_caps`], or unanalyzable layers (422).
 pub fn network_response(v: &Value) -> Result<String, ApiError> {
+    check_top_level_keys(v, &["net", "batch", "implem", "arch"])?;
     let (choice, net) = match get_field(v, "net")? {
         Some(custom @ Value::Object(_)) => {
             // The custom object carries its own batch; a second top-level

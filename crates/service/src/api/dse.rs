@@ -15,20 +15,19 @@ use accel_sim::ArchConfig;
 use clb_core::{ArchSweepEntry, LayerReport, Objective, StagedOutcome, StagedProgress, SweepCost};
 use conv_model::workloads::Network;
 use conv_model::ConvLayer;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Serializer, Value};
 
 use super::{
-    arch_from_value, canonical_value, get_field, limits, network_by_name, network_from_value,
-    optional, render, require, unknown_key, ApiError, LayerSpec,
+    arch_from_value, check_top_level_keys, get_field, limits, network_by_name, network_from_value,
+    optional, render, require, unknown_key, ApiError, Canonical, LayerSpec, LAYER_KEYS,
 };
 use crate::http::Response;
 
 // The top-level keys a `/v1/dse` body may carry, in three groups: the
-// layer spec of layer mode, the target and candidates, and the keys any of
-// which makes a request staged. Any other key is a 400: nearly every field
-// is optional, so a typo (`"objectve"`, `"strid"`) would otherwise
-// silently sweep something never asked for.
-const LAYER_KEYS: [&str; 6] = ["co", "size", "ci", "k", "stride", "batch"];
+// layer spec of layer mode (`LAYER_KEYS`), the target and candidates, and
+// the keys any of which makes a request staged. Any other key is a 400:
+// nearly every field is optional, so a typo (`"objectve"`, `"strid"`)
+// would otherwise silently sweep something never asked for.
 const SWEEP_KEYS: [&str; 3] = ["target", "candidates", "grid"];
 const STAGED_KEYS: [&str; 3] = ["objective", "top_k", "stream"];
 
@@ -519,27 +518,33 @@ impl<R> DseResponse<R> {
 }
 
 impl<R: Serialize> Serialize for DseResponse<R> {
-    fn to_value(&self) -> Value {
-        let mut fields = self.target.clone();
-        let mut push = |name: &str, value: Value| fields.push((name.to_string(), value));
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        fn field<S: Serializer>(out: &mut S, name: &str, value: impl Serialize) {
+            out.key(name);
+            value.serialize(out);
+        }
+        out.begin_object();
+        for (name, value) in &self.target {
+            field(out, name, value);
+        }
         match self.ranking {
             None => {
-                push("submitted", self.submitted.to_value());
-                push("unique", self.unique.to_value());
-                push("feasible", self.feasible().to_value());
+                field(out, "submitted", self.submitted);
+                field(out, "unique", self.unique);
+                field(out, "feasible", self.feasible());
             }
             Some((objective, top_k)) => {
-                push("objective", objective.as_str().to_value());
-                push("top_k", top_k.to_value());
-                push("submitted", self.submitted.to_value());
-                push("unique", self.unique.to_value());
-                push("pruned", self.pruned.to_value());
-                push("evaluated", self.evaluated.to_value());
-                push("kept", self.results.len().to_value());
+                field(out, "objective", objective.as_str());
+                field(out, "top_k", top_k);
+                field(out, "submitted", self.submitted);
+                field(out, "unique", self.unique);
+                field(out, "pruned", self.pruned);
+                field(out, "evaluated", self.evaluated);
+                field(out, "kept", self.results.len());
             }
         }
-        push("results", self.results.to_value());
-        Value::Object(fields)
+        field(out, "results", &self.results);
+        out.end_object();
     }
 }
 
@@ -586,13 +591,7 @@ impl DseRequest {
     ///
     /// Exactly [`dse_response`]'s.
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
-        let known = [&LAYER_KEYS[..], &SWEEP_KEYS, &STAGED_KEYS].concat();
-        if let Some(key) = unknown_key(v, &known) {
-            return Err(ApiError::BadRequest(format!(
-                "unknown field `{key}` (expected one of {})",
-                known.join(", ")
-            )));
-        }
+        check_top_level_keys(v, &[&LAYER_KEYS[..], &SWEEP_KEYS, &STAGED_KEYS].concat())?;
         let staged = parse_staged_options(v)?;
         let target = parse_dse_target(v)?;
         let cap = staged.map_or(limits::MAX_DSE_CANDIDATES, |_| {
@@ -800,7 +799,7 @@ pub fn dse_stream_chunks(v: &Value) -> Result<Vec<String>, ApiError> {
 /// [`ApiError::Internal`] if the body cannot be re-serialized (cannot
 /// happen for a value that parsed).
 pub fn dse_job_id(v: &Value) -> Result<String, ApiError> {
-    let canonical = serde_json::to_string(&canonical_value(v))
+    let canonical = serde_json::to_string(&Canonical(v))
         .map_err(|e| ApiError::Internal(format!("unrenderable job body: {e}")))?;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in "/v1/dse ".bytes().chain(canonical.bytes()) {

@@ -32,7 +32,7 @@
 //!     │ (full? shed 503 + Retry-After — body already read, socket reusable);
 //!     │ background DSE jobs (≤ 8 running) block for a permit instead
 //!     ▼
-//! canonicalize body, form request key
+//! request key: route + the body rendered with sorted keys
 //!     │
 //! bounded LRU response cache ── hit ──► reply
 //!     │ miss
@@ -225,7 +225,9 @@
 //!
 //! Layer spec fields: `co`, `size`, `ci` (required); `k` (3), `stride`
 //! (1), `batch` (3), `mem_kib` (66.5) optional with CLI-matching defaults.
-//! Errors come back as `{"error": ..., "status": ...}` with a 4xx status:
+//! A body whose top level carries any key its endpoint does not know is a
+//! 400 naming the key, checked before anything else (`docs/API.md` lists
+//! each endpoint's keys). Errors come back as `{"error": ..., "status": ...}` with a 4xx status:
 //! malformed HTTP or JSON → 400, wrong method → 405, a request that stalls
 //! or drips past its deadline → 408, oversized body → 413,
 //! valid-but-impossible analysis → 422; a saturated server sheds with

@@ -1182,7 +1182,7 @@ impl ServiceState {
             api::StreamMode::Chunked => return Reply::Chunked(parsed),
             api::StreamMode::Sync => {}
         }
-        let canonical = match serde_json::to_string(&api::canonical_value(&parsed)) {
+        let canonical = match serde_json::to_string(&api::Canonical(&parsed)) {
             Ok(c) => c,
             Err(e) => {
                 let response = Response::error(400, &format!("unrenderable JSON body: {e}"));

@@ -464,21 +464,36 @@ fn all_busy_connection_cap_sheds_with_retry_after() {
 /// waiting room, a second concurrent analysis is shed with
 /// `503 + Retry-After` — and because the server drained its body first,
 /// the *same socket* carries the retry to a 200.
+///
+/// No sleep orders the steps: the quick request goes out again and again
+/// on one socket, served until the hog holds the permit, shed while it
+/// does, and served once more when it is done.
 #[test]
 fn saturated_gate_sheds_503_with_retry_after_and_the_same_socket_retries() {
     let server = spawn(ServiceConfig {
         threads: 1,
         queue_capacity: 0,
+        // However many requests the one quick socket carries.
+        max_requests_per_connection: usize::MAX,
         ..ServiceConfig::default()
     });
     let addr = server.addr();
     // A long cold computation to hold the single permit: a whole-model
     // sweep with candidates unique to this test (cold planning keeps the
-    // flight open for hundreds of ms even in release builds).
+    // flight open for hundreds of ms even in release builds). A quick
+    // request may hold the permit at the instant the hog arrives, so a
+    // shed hog asks again.
     let slow_body = "{\"target\":{\"network\":\"vgg16\",\"batch\":3},\
                      \"grid\":{\"pe_rows\":[8,24],\"pe_cols\":[8]}}";
-    let hog = std::thread::spawn(move || one_shot(addr, "POST", "/v1/dse", slow_body));
-    std::thread::sleep(Duration::from_millis(120)); // let the hog take the permit
+    let hog = std::thread::spawn(move || {
+        for _ in 0..1000 {
+            let (status, _) = one_shot(addr, "POST", "/v1/dse", slow_body);
+            if status != 503 {
+                return status;
+            }
+        }
+        503
+    });
     let mut client = ChaosClient::connect(addr, CLIENT_TIMEOUT);
     let quick = "{\"co\":16,\"size\":14,\"ci\":8,\"batch\":1}";
     let mut sheds = 0u32;
@@ -498,12 +513,20 @@ fn saturated_gate_sheds_503_with_retry_after_and_the_same_socket_retries() {
             client.stall(Duration::from_millis(50));
             continue;
         }
+        if sheds == 0 {
+            // Served before the hog took the permit: ask again.
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert!(
+                !hog.is_finished(),
+                "the hog finished without the saturated gate ever shedding"
+            );
+            continue;
+        }
         break resp.status;
     };
     assert_eq!(final_status, 200, "the same socket carries the retry home");
     assert!(sheds >= 1, "the saturated gate must shed at least once");
-    let (status, _) = hog.join().unwrap();
-    assert_eq!(status, 200);
+    assert_eq!(hog.join().unwrap(), 200);
     let stats = server.stats_handle().snapshot();
     assert!(stats.shed >= u64::from(sheds), "{stats:?}");
     server.shutdown().unwrap();

@@ -4,10 +4,22 @@
 //! so the usual `serde` dependency is replaced by this API-subset shim. It
 //! keeps the surface the workspace actually uses — `Serialize`,
 //! `Deserialize`, and `#[derive(Serialize, Deserialize)]` re-exported under
-//! the `derive` feature — but trades serde's zero-copy visitor architecture
-//! for a simple tree model: serialization produces a [`Value`] and
-//! deserialization consumes one. `serde_json` (the sibling shim) renders and
-//! parses that tree as JSON.
+//! the `derive` feature — with a much smaller data model than serde's.
+//!
+//! Serialization streams: [`Serialize::serialize`] walks a value and
+//! reports it to a [`Serializer`] as a sequence of JSON events (`null`,
+//! `bool`, `number`, `string`, and the begin/end of arrays and objects,
+//! with each object field announced by `key`). `serde_json` (the sibling
+//! shim) writes those events straight into its output text, so rendering a
+//! report never builds an intermediate tree. The few callers that do want a
+//! tree — to splice fields into a rendered object, say — call
+//! [`Serialize::to_value`], which runs the same `serialize` into a
+//! tree-building serializer and returns the [`Value`].
+//!
+//! Deserialization consumes a parsed [`Value`] tree:
+//! [`Deserialize::from_value`] reads a borrowed one, and
+//! [`Deserialize::from_owned`] — what `serde_json::from_str` calls — lets
+//! `Value` itself take the parsed tree without a copy.
 //!
 //! Supported shapes (everything the workspace derives): named-field structs,
 //! tuple structs, unit-only enums, and generic structs whose parameters
@@ -119,10 +131,128 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can be rendered into a [`Value`] tree.
+/// The receiving end of [`Serialize::serialize`]: one call per JSON event,
+/// in document order.
+///
+/// A scalar is one call. An array is `begin_array`, its items, then
+/// `end_array`; an object is `begin_object`, then `key` followed by that
+/// field's value for each field, then `end_object`. Events are infallible;
+/// a serializer that can fail (a JSON writer refusing a non-finite number)
+/// remembers the failure and reports it when it finishes.
+pub trait Serializer {
+    /// JSON `null`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, value: bool);
+    /// A number.
+    fn number(&mut self, value: f64);
+    /// A string.
+    fn string(&mut self, value: &str);
+    /// Opens an array.
+    fn begin_array(&mut self);
+    /// Closes the innermost open array.
+    fn end_array(&mut self);
+    /// Opens an object.
+    fn begin_object(&mut self);
+    /// Names the next field of the innermost open object; its value
+    /// follows.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost open object.
+    fn end_object(&mut self);
+}
+
+/// A type that can be serialized as a stream of [`Serializer`] events.
 pub trait Serialize {
-    /// Converts `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Reports `self` to `out`, event by event.
+    fn serialize<S: Serializer>(&self, out: &mut S);
+
+    /// `self` as a value tree: [`Serialize::serialize`] run into a
+    /// tree-building serializer.
+    fn to_value(&self) -> Value {
+        let mut tree = TreeBuilder::default();
+        self.serialize(&mut tree);
+        tree.finish()
+    }
+}
+
+/// Builds a [`Value`] from serializer events (behind
+/// [`Serialize::to_value`]).
+#[derive(Default)]
+struct TreeBuilder {
+    /// The open containers, innermost last.
+    open: Vec<Value>,
+    /// The keys of the object fields whose values are still being built,
+    /// innermost last.
+    keys: Vec<String>,
+    /// The finished top-level value.
+    root: Option<Value>,
+}
+
+impl TreeBuilder {
+    /// Places a finished value into the innermost open container (under
+    /// its pending key, for an object) or makes it the root.
+    fn place(&mut self, value: Value) {
+        match self.open.last_mut() {
+            None => self.root = Some(value),
+            Some(Value::Array(items)) => items.push(value),
+            Some(Value::Object(fields)) => {
+                let key = self
+                    .keys
+                    .pop()
+                    .expect("an object field value follows its key");
+                fields.push((key, value));
+            }
+            Some(_) => unreachable!("only arrays and objects are ever opened"),
+        }
+    }
+
+    fn close(&mut self) {
+        let container = self.open.pop().expect("a close matches an open");
+        self.place(container);
+    }
+
+    fn finish(self) -> Value {
+        debug_assert!(self.open.is_empty(), "every open container was closed");
+        self.root.unwrap_or(Value::Null)
+    }
+}
+
+impl Serializer for TreeBuilder {
+    fn null(&mut self) {
+        self.place(Value::Null);
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.place(Value::Bool(value));
+    }
+
+    fn number(&mut self, value: f64) {
+        self.place(Value::Number(value));
+    }
+
+    fn string(&mut self, value: &str) {
+        self.place(Value::String(value.to_string()));
+    }
+
+    fn begin_array(&mut self) {
+        self.open.push(Value::Array(Vec::new()));
+    }
+
+    fn end_array(&mut self) {
+        self.close();
+    }
+
+    fn begin_object(&mut self) {
+        self.open.push(Value::Object(Vec::new()));
+    }
+
+    fn key(&mut self, key: &str) {
+        self.keys.push(key.to_string());
+    }
+
+    fn end_object(&mut self) {
+        self.close();
+    }
 }
 
 /// A type that can be rebuilt from a [`Value`] tree.
@@ -133,13 +263,24 @@ pub trait Deserialize: Sized {
     ///
     /// Returns [`Error`] when the tree does not match the expected shape.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a tree it may consume (what
+    /// `serde_json::from_str` calls on the tree it just parsed). Types that
+    /// can take the tree's parts without copying them override it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Deserialize::from_value`]'s.
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Self::from_value(&value)
+    }
 }
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(*self as f64)
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.number(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -159,8 +300,8 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(*self)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.number(*self);
     }
 }
 
@@ -171,8 +312,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(f64::from(*self))
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.number(f64::from(*self));
     }
 }
 
@@ -183,8 +324,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.bool(*self);
     }
 }
 
@@ -198,8 +339,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.string(self);
     }
 }
 
@@ -210,14 +351,24 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.string(self);
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.begin_array();
+        for item in self {
+            item.serialize(out);
+        }
+        out.end_array();
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        self.as_slice().serialize(out);
     }
 }
 
@@ -228,10 +379,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
         match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
+            None => out.null(),
+            Some(v) => v.serialize(out),
         }
     }
 }
@@ -246,14 +397,17 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.begin_array();
+        self.0.serialize(out);
+        self.1.serialize(out);
+        out.end_array();
     }
 }
 
@@ -268,22 +422,40 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out);
     }
 }
 
 // `Value` itself round-trips transparently, so callers can work with raw
 // JSON trees (e.g. to canonicalize a request body) without a typed schema.
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Number(n) => out.number(*n),
+            Value::String(s) => out.string(s),
+            Value::Array(items) => items.serialize(out),
+            Value::Object(fields) => {
+                out.begin_object();
+                for (key, value) in fields {
+                    out.key(key);
+                    value.serialize(out);
+                }
+                out.end_object();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
+    }
+
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Ok(value)
     }
 }
 
@@ -316,5 +488,23 @@ mod tests {
         let v = Value::Object(vec![("a".into(), Value::Number(1.0))]);
         assert_eq!(v.get_field("a").unwrap(), &Value::Number(1.0));
         assert!(v.get_field("b").is_err());
+    }
+
+    #[test]
+    fn value_to_value_rebuilds_the_same_tree() {
+        let v = Value::Object(vec![
+            ("empty_array".into(), Value::Array(vec![])),
+            ("empty_object".into(), Value::Object(vec![])),
+            (
+                "nested".into(),
+                Value::Array(vec![
+                    Value::Object(vec![("k".into(), Value::Bool(false))]),
+                    Value::Array(vec![Value::Null, Value::Number(-0.5)]),
+                    Value::String("s".into()),
+                ]),
+            ),
+        ]);
+        assert_eq!(v.to_value(), v);
+        assert_eq!(Value::Null.to_value(), Value::Null);
     }
 }

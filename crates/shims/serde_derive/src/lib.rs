@@ -8,6 +8,11 @@
 //! * tuple structs (newtype transparency for single-field ones),
 //! * unit-only enums (serialized as the variant-name string).
 //!
+//! `Serialize` is derived as a `serialize` method that reports the fields,
+//! in declaration order, to the `serde::Serializer` it is given (the trait's
+//! provided `to_value` builds a tree from those same events);
+//! `Deserialize` as a `from_value` that reads them back from a tree.
+//!
 //! Anything else (enums with payloads, unions) is rejected with a
 //! `compile_error!` so a future mismatch fails loudly at build time rather
 //! than silently misbehaving at run time.
@@ -269,33 +274,30 @@ fn derive_serialize_impl(item: &Item) -> String {
     let (generics, ty) = impl_header(item, "::serde::Serialize");
     let body = match &item.shape {
         Shape::Named(fields) => {
-            let pushes: Vec<String> = fields
+            let fields: String = fields
                 .iter()
-                .map(|f| format!("(String::from({f:?}), ::serde::Serialize::to_value(&self.{f}))"))
+                .map(|f| format!("out.key({f:?}); ::serde::Serialize::serialize(&self.{f}, out);"))
                 .collect();
-            format!("::serde::Value::Object(vec![{}])", pushes.join(", "))
+            format!("out.begin_object(); {fields} out.end_object();")
         }
-        Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0, out);".to_string(),
         Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
+            let items: String = (0..*n)
+                .map(|k| format!("::serde::Serialize::serialize(&self.{k}, out);"))
                 .collect();
-            format!("::serde::Value::Array(vec![{}])", items.join(", "))
+            format!("out.begin_array(); {items} out.end_array();")
         }
         Shape::UnitEnum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| format!("Self::{v} => {v:?},"))
                 .collect();
-            format!(
-                "::serde::Value::String(String::from(match self {{ {} }}))",
-                arms.join(" ")
-            )
+            format!("out.string(match self {{ {} }});", arms.join(" "))
         }
     };
     format!(
         "impl{generics} ::serde::Serialize for {ty} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize<__S: ::serde::Serializer>(&self, out: &mut __S) {{ {body} }}\n\
          }}"
     )
 }

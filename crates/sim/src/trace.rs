@@ -25,7 +25,7 @@
 //! segments and pins the same identity across random layers × tilings × all
 //! five Table I implementations.
 
-use serde::{Serialize, Value};
+use serde::{Serialize, Serializer};
 
 use crate::stats::SimStats;
 
@@ -83,8 +83,8 @@ impl TracePhase {
 }
 
 impl Serialize for TracePhase {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_string())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.string(self.as_str());
     }
 }
 
@@ -546,7 +546,7 @@ mod tests {
     fn phases_serialize_snake_case() {
         assert_eq!(
             TracePhase::DramLatency.to_value(),
-            Value::String("dram_latency".into())
+            serde::Value::String("dram_latency".into())
         );
         assert_eq!(TracePhase::LoadStall.as_str(), "load_stall");
     }
