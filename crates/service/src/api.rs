@@ -1,15 +1,22 @@
 //! The JSON API: request schemas, response schemas and the endpoint
 //! handlers that map one parsed request body to one response.
 //!
+//! Every analysis route has one typed request, parsed once from the body
+//! ([`Endpoint::from_value`], [`DseRequest::from_value`]), and one run that
+//! returns the typed response ([`Endpoint::run`], [`DseRequest::run`]); a
+//! handler is parse → run → render. `clb`'s analysis verbs build the same
+//! body from their flags and go through the same parse and run, so the CLI
+//! prints the service's exact body with `--json true` and inherits its caps
+//! and error messages.
+//!
 //! Handlers are pure functions of the request value — no sockets, no
 //! threads — so the integration tests (and the throughput bench baseline)
 //! call them directly and compare bytes against what the server returns.
-//! Responses reuse the exact report structures `clb --json` prints
+//! Responses reuse the exact report structures of the library
 //! ([`LayerReport`], [`NetworkReport`], [`DataflowChoice`]), serialized by
-//! the same `serde_json` pretty printer, so a service response is
-//! bit-identical to the corresponding library/CLI output.
+//! the same `serde_json` pretty printer.
 
-use accel_sim::{ArchConfig, DramConfig, ExecutionTrace, SimStats, TraceOptions};
+use accel_sim::{ArchConfig, DramConfig, ExecutionTrace, SimError, SimStats, TraceOptions};
 use clb_core::network_caps;
 use clb_core::{Accelerator, LayerReport, NetworkReport, OnChipMemory};
 use conv_model::workloads::Network;
@@ -122,24 +129,19 @@ fn unknown_key<'a>(v: &'a Value, known: &[&str]) -> Option<&'a str> {
 /// endpoints and layer-mode `/v1/dse`.
 const LAYER_KEYS: [&str; 6] = ["co", "size", "ci", "k", "stride", "batch"];
 
-/// Refuses a request body whose top level carries a key outside `known`,
-/// with a 400 naming the key. Every endpoint runs it before its other
-/// checks: with most fields optional, a typo (`"strid"`) would otherwise
-/// silently analyze the default.
-fn check_top_level_keys(v: &Value, known: &[&str]) -> Result<(), ApiError> {
-    match unknown_key(v, known) {
+/// Refuses a request body whose top level carries a key outside `known`
+/// (space-separated), with a 400 naming the key. Every endpoint runs it
+/// before its other checks: with most fields optional, a typo (`"strid"`)
+/// would otherwise silently analyze the default.
+fn check_top_level_keys(v: &Value, known: &str) -> Result<(), ApiError> {
+    let known: Vec<&str> = known.split(' ').collect();
+    match unknown_key(v, &known) {
         None => Ok(()),
         Some(key) => Err(ApiError::BadRequest(format!(
             "unknown field `{key}` (expected one of {})",
             known.join(", ")
         ))),
     }
-}
-
-/// [`check_top_level_keys`] for a layer endpoint: the [`LAYER_KEYS`] plus
-/// the endpoint's own `extra` keys.
-fn check_layer_keys(v: &Value, extra: &[&str]) -> Result<(), ApiError> {
-    check_top_level_keys(v, &[&LAYER_KEYS[..], extra].concat())
 }
 
 fn require<T: Deserialize>(v: &Value, name: &str) -> Result<T, ApiError> {
@@ -451,16 +453,6 @@ pub struct TraceRequest {
     pub expand: bool,
 }
 
-impl TraceRequest {
-    /// The simulator-side options this request maps to.
-    #[must_use]
-    pub fn options(&self) -> TraceOptions {
-        TraceOptions {
-            expand: self.expand,
-        }
-    }
-}
-
 const TRACE_KEYS: [&str; 2] = ["format", "expand"];
 
 /// Parses the optional `trace` object shared by `/v1/simulate` and
@@ -503,31 +495,122 @@ fn parse_trace_request(v: &Value) -> Result<Option<TraceRequest>, ApiError> {
     }))
 }
 
-/// Renders `base` with the trace appended as one trailing top-level field
-/// (`trace` for JSON traces, `vcd` for waveforms). Appending — rather than
-/// adding optional fields to the response structs — keeps every untraced
-/// response bit-identical to its pre-trace wire bytes.
-fn render_traced<T: Serialize>(
-    base: &T,
-    request: &TraceRequest,
-    trace: &ExecutionTrace,
-) -> Result<String, ApiError> {
-    let mut value = base.to_value();
-    let Value::Object(fields) = &mut value else {
-        return Err(ApiError::Internal(
-            "traced responses must serialize as objects".to_string(),
-        ));
+/// A requested execution trace, rendered as the request asked.
+#[derive(Debug, Clone)]
+pub enum TraceOutput {
+    /// The structured trace, rendered under a trailing `trace` field.
+    Json(ExecutionTrace),
+    /// The VCD waveform, rendered under a trailing `vcd` field.
+    Vcd(String),
+}
+
+/// A response plus the trace its request asked for. The trace renders as
+/// one trailing top-level field — appended rather than an optional field of
+/// the response structs, so every untraced response keeps its exact
+/// pre-trace wire bytes.
+#[derive(Debug, Clone)]
+pub struct Traced<T> {
+    /// The response proper.
+    pub response: T,
+    /// The requested trace, `None` when the request asked for none.
+    pub trace: Option<TraceOutput>,
+}
+
+impl<T: Serialize> Serialize for Traced<T> {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        let Some(trace) = &self.trace else {
+            return self.response.serialize(out);
+        };
+        let mut value = self.response.to_value();
+        if let Value::Object(fields) = &mut value {
+            fields.push(match trace {
+                TraceOutput::Json(trace) => ("trace".to_string(), trace.to_value()),
+                TraceOutput::Vcd(vcd) => ("vcd".to_string(), Value::String(vcd.clone())),
+            });
+        }
+        value.serialize(out);
+    }
+}
+
+/// Runs `plain`, or — when a trace was requested — `traced` under the
+/// request's options, rendering the trace as asked. Analysis failures are
+/// 422s carrying the simulator's diagnosis (an over-cap trace names the cap,
+/// checked before any expansion is allocated).
+fn run_traced<T>(
+    request: Option<TraceRequest>,
+    plain: impl FnOnce() -> Result<T, SimError>,
+    traced: impl FnOnce(&TraceOptions) -> Result<(T, ExecutionTrace), SimError>,
+) -> Result<(T, Option<TraceOutput>), ApiError> {
+    let Some(request) = request else {
+        return Ok((plain().map_err(unprocessable)?, None));
     };
-    match request.format {
-        TraceFormat::Json => fields.push(("trace".to_string(), trace.to_value())),
-        TraceFormat::Vcd => {
-            let vcd = trace.to_vcd().ok_or_else(|| {
-                ApiError::Internal("VCD rendering requires an expanded trace".to_string())
-            })?;
-            fields.push(("vcd".to_string(), Value::String(vcd)));
+    let options = TraceOptions {
+        expand: request.expand,
+    };
+    let (value, trace) = traced(&options).map_err(unprocessable)?;
+    let output = match request.format {
+        TraceFormat::Json => TraceOutput::Json(trace),
+        TraceFormat::Vcd => TraceOutput::Vcd(trace.to_vcd().ok_or_else(|| {
+            ApiError::Internal("VCD rendering requires an expanded trace".to_string())
+        })?),
+    };
+    Ok((value, Some(output)))
+}
+
+fn unprocessable(e: SimError) -> ApiError {
+    ApiError::Unprocessable(e.to_string())
+}
+
+/// A `/v1/plan` or `/v1/simulate` response for either architecture choice:
+/// the preset wire struct `P`, echoing `implementation`, or its twin `A`,
+/// echoing the custom `arch`. Preset responses keep their exact
+/// pre-existing bytes.
+#[derive(Debug, Clone)]
+pub enum Echo<P, A> {
+    /// Run on a Table I implementation.
+    Implem(P),
+    /// Run on a custom architecture.
+    Custom(A),
+}
+
+impl<P: Serialize, A: Serialize> Serialize for Echo<P, A> {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        match self {
+            Echo::Implem(preset) => preset.serialize(out),
+            Echo::Custom(custom) => custom.serialize(out),
         }
     }
-    render(&value)
+}
+
+/// One analysis route, in the shape every endpoint shares with `/v1/dse`: a
+/// body parses once into the typed request ([`Endpoint::from_value`]), the
+/// request runs once into the typed response ([`Endpoint::run`]), and the
+/// response's serialization is the wire body. `clb`'s analysis verbs build
+/// the same body from their flags and make the same two calls, so the CLI
+/// and the service share one parser, one set of caps and one vocabulary of
+/// errors.
+pub trait Endpoint: Sized {
+    /// The top-level keys a body may carry, space-separated; any other is a
+    /// 400 naming it, checked before anything else.
+    const KEYS: &'static str;
+    /// The typed response.
+    type Response: Serialize;
+
+    /// Parses and validates a body — the only parse it gets.
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::BadRequest`] on unknown keys and missing or ill-typed
+    /// fields; [`ApiError::Unprocessable`] on out-of-limit values.
+    fn from_value(v: &Value) -> Result<Self, ApiError>;
+
+    /// Runs the analysis.
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::Unprocessable`] when the analysis is impossible (no
+    /// tiling fits, an infeasible blocking, an over-cap trace).
+    fn run(&self) -> Result<Self::Response, ApiError>;
 }
 
 /// `POST /v1/bound` — the communication lower bounds of one layer
@@ -552,26 +635,50 @@ pub struct BoundResponse {
     pub reduction_factor: f64,
 }
 
-/// Handles `POST /v1/bound`.
+/// A parsed `/v1/bound` body: one layer at one on-chip memory size.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundRequest {
+    /// The analyzed layer.
+    pub layer: ConvLayer,
+    /// On-chip memory in KiB: `mem_kib` (default 66.5), or the effective
+    /// on-chip memory (LRegs + GBufs, the paper's `S`) of an `arch` object.
+    pub mem_kib: f64,
+}
+
+impl Endpoint for BoundRequest {
+    const KEYS: &'static str = "co size ci k stride batch mem_kib arch";
+    type Response = BoundResponse;
+
+    fn from_value(v: &Value) -> Result<Self, ApiError> {
+        check_top_level_keys(v, Self::KEYS)?;
+        Ok(BoundRequest {
+            layer: LayerSpec::from_value(v)?.to_layer()?,
+            mem_kib: parse_mem_choice(v)?,
+        })
+    }
+
+    fn run(&self) -> Result<BoundResponse, ApiError> {
+        let (layer, mem) = (self.layer, OnChipMemory::from_kib(self.mem_kib));
+        Ok(BoundResponse {
+            layer,
+            mem_kib: self.mem_kib,
+            macs: layer.macs(),
+            window_reuse: layer.window_reuse(),
+            theorem2_bytes: comm_bound::theorem2_dram_words(&layer, mem) * 2.0,
+            bound_bytes: comm_bound::dram_bound_bytes(&layer, mem),
+            naive_bytes: comm_bound::naive_dram_words(&layer) * 2.0,
+            reduction_factor: comm_bound::reduction_factor(&layer, mem),
+        })
+    }
+}
+
+/// Handles `POST /v1/bound`: parse → run → render.
 ///
 /// # Errors
 ///
 /// [`ApiError`] on malformed or out-of-limit requests.
 pub fn bound_response(v: &Value) -> Result<String, ApiError> {
-    check_layer_keys(v, &["mem_kib", "arch"])?;
-    let layer = LayerSpec::from_value(v)?.to_layer()?;
-    let mem_kib = parse_mem_choice(v)?;
-    let mem = OnChipMemory::from_kib(mem_kib);
-    render(&BoundResponse {
-        layer,
-        mem_kib,
-        macs: layer.macs(),
-        window_reuse: layer.window_reuse(),
-        theorem2_bytes: comm_bound::theorem2_dram_words(&layer, mem) * 2.0,
-        bound_bytes: comm_bound::dram_bound_bytes(&layer, mem),
-        naive_bytes: comm_bound::naive_dram_words(&layer) * 2.0,
-        reduction_factor: comm_bound::reduction_factor(&layer, mem),
-    })
+    render(&BoundRequest::from_value(v)?.run()?)
 }
 
 /// One dataflow's entry in a [`SweepResponse`].
@@ -601,31 +708,46 @@ pub struct SweepResponse {
     pub dataflows: Vec<SweepEntry>,
 }
 
+/// A parsed `/v1/sweep` body: the [`BoundRequest`] fields.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepRequest(pub BoundRequest);
+
+impl Endpoint for SweepRequest {
+    const KEYS: &'static str = BoundRequest::KEYS;
+    type Response = SweepResponse;
+
+    fn from_value(v: &Value) -> Result<Self, ApiError> {
+        BoundRequest::from_value(v).map(SweepRequest)
+    }
+
+    fn run(&self) -> Result<SweepResponse, ApiError> {
+        let BoundRequest { layer, mem_kib } = self.0;
+        let mem = OnChipMemory::from_kib(mem_kib);
+        let dataflows = DataflowKind::ALL
+            .iter()
+            .map(|&kind| SweepEntry {
+                kind,
+                name: kind.name().to_string(),
+                choice: search_dataflow(kind, &layer, mem),
+            })
+            .collect();
+        Ok(SweepResponse {
+            layer,
+            mem_kib,
+            bound_bytes: comm_bound::dram_bound_bytes(&layer, mem),
+            found_minimum: found_minimum(&layer, mem),
+            dataflows,
+        })
+    }
+}
+
 /// Handles `POST /v1/sweep`.
 ///
 /// # Errors
 ///
 /// [`ApiError`] on malformed or out-of-limit requests.
 pub fn sweep_response(v: &Value) -> Result<String, ApiError> {
-    check_layer_keys(v, &["mem_kib", "arch"])?;
-    let layer = LayerSpec::from_value(v)?.to_layer()?;
-    let mem_kib = parse_mem_choice(v)?;
-    let mem = OnChipMemory::from_kib(mem_kib);
-    let dataflows = DataflowKind::ALL
-        .iter()
-        .map(|&kind| SweepEntry {
-            kind,
-            name: kind.name().to_string(),
-            choice: search_dataflow(kind, &layer, mem),
-        })
-        .collect();
-    render(&SweepResponse {
-        layer,
-        mem_kib,
-        bound_bytes: comm_bound::dram_bound_bytes(&layer, mem),
-        found_minimum: found_minimum(&layer, mem),
-        dataflows,
-    })
+    render(&SweepRequest::from_value(v)?.run()?)
 }
 
 /// `POST /v1/plan` — plan → simulate → bound → energy for one layer on one
@@ -651,6 +773,48 @@ pub struct ArchPlanResponse {
     pub report: LayerReport,
 }
 
+/// A parsed `/v1/plan` body.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanRequest {
+    /// The layer to plan.
+    pub layer: ConvLayer,
+    /// The Table I preset or custom architecture that runs it.
+    pub choice: ArchChoice,
+    /// The requested execution trace, if any.
+    pub trace: Option<TraceRequest>,
+}
+
+impl Endpoint for PlanRequest {
+    const KEYS: &'static str = "co size ci k stride batch implem arch trace";
+    type Response = Traced<Echo<PlanResponse, ArchPlanResponse>>;
+
+    fn from_value(v: &Value) -> Result<Self, ApiError> {
+        check_top_level_keys(v, Self::KEYS)?;
+        Ok(PlanRequest {
+            layer: LayerSpec::from_value(v)?.to_layer()?,
+            choice: parse_arch_choice(v)?,
+            trace: parse_trace_request(v)?,
+        })
+    }
+
+    fn run(&self) -> Result<Self::Response, ApiError> {
+        let acc = Accelerator::new(self.choice.arch());
+        let (report, trace) = run_traced(
+            self.trace,
+            || acc.analyze_layer("layer", &self.layer),
+            |options| acc.analyze_layer_traced("layer", &self.layer, options),
+        )?;
+        let response = match self.choice {
+            ArchChoice::Implem(implementation) => Echo::Implem(PlanResponse {
+                implementation,
+                report,
+            }),
+            ArchChoice::Custom(arch) => Echo::Custom(ArchPlanResponse { arch, report }),
+        };
+        Ok(Traced { response, trace })
+    }
+}
+
 /// Handles `POST /v1/plan`.
 ///
 /// # Errors
@@ -659,39 +823,7 @@ pub struct ArchPlanResponse {
 /// the dataflow fits the implementation/architecture (422), or when a
 /// requested trace exceeds the trace caps (422).
 pub fn plan_response(v: &Value) -> Result<String, ApiError> {
-    check_layer_keys(v, &["implem", "arch", "trace"])?;
-    let layer = LayerSpec::from_value(v)?.to_layer()?;
-    let choice = parse_arch_choice(v)?;
-    let trace_request = parse_trace_request(v)?;
-    let acc = Accelerator::new(choice.arch());
-    let Some(trace_request) = trace_request else {
-        let report = acc
-            .analyze_layer("layer", &layer)
-            .map_err(|e| ApiError::Unprocessable(e.to_string()))?;
-        return match choice {
-            ArchChoice::Implem(implem) => render(&PlanResponse {
-                implementation: implem,
-                report,
-            }),
-            ArchChoice::Custom(arch) => render(&ArchPlanResponse { arch, report }),
-        };
-    };
-    let (report, trace) = acc
-        .analyze_layer_traced("layer", &layer, &trace_request.options())
-        .map_err(|e| ApiError::Unprocessable(e.to_string()))?;
-    match choice {
-        ArchChoice::Implem(implem) => render_traced(
-            &PlanResponse {
-                implementation: implem,
-                report,
-            },
-            &trace_request,
-            &trace,
-        ),
-        ArchChoice::Custom(arch) => {
-            render_traced(&ArchPlanResponse { arch, report }, &trace_request, &trace)
-        }
-    }
+    render(&PlanRequest::from_value(v)?.run()?)
 }
 
 /// `POST /v1/simulate` — the cycle simulator on an *explicit, user-supplied*
@@ -739,6 +871,64 @@ pub struct ArchSimulateResponse {
     pub seconds: f64,
 }
 
+/// A parsed `/v1/simulate` body.
+#[derive(Debug, Clone, Copy)]
+pub struct SimulateRequest {
+    /// The layer to simulate.
+    pub layer: ConvLayer,
+    /// The Table I preset or custom architecture that runs it.
+    pub choice: ArchChoice,
+    /// The caller's blocking (`simulate` itself rejects zero or oversized
+    /// dimensions before touching the block grid).
+    pub tiling: Tiling,
+    /// The requested execution trace, if any.
+    pub trace: Option<TraceRequest>,
+}
+
+impl Endpoint for SimulateRequest {
+    const KEYS: &'static str = "co size ci k stride batch implem arch tiling trace";
+    type Response = Traced<Echo<SimulateResponse, ArchSimulateResponse>>;
+
+    fn from_value(v: &Value) -> Result<Self, ApiError> {
+        check_top_level_keys(v, Self::KEYS)?;
+        Ok(SimulateRequest {
+            layer: LayerSpec::from_value(v)?.to_layer()?,
+            choice: parse_arch_choice(v)?,
+            tiling: require(v, "tiling")?,
+            trace: parse_trace_request(v)?,
+        })
+    }
+
+    fn run(&self) -> Result<Self::Response, ApiError> {
+        let (layer, tiling, arch) = (self.layer, self.tiling, self.choice.arch());
+        let (stats, trace) = run_traced(
+            self.trace,
+            || accel_sim::simulate(&layer, &tiling, &arch),
+            |options| accel_sim::simulate_traced(&layer, &tiling, &arch, options),
+        )?;
+        let (total_cycles, seconds) = (stats.total_cycles(), stats.seconds(arch.core_freq_hz));
+        let response = match self.choice {
+            ArchChoice::Implem(implementation) => Echo::Implem(SimulateResponse {
+                implementation,
+                layer,
+                tiling,
+                stats,
+                total_cycles,
+                seconds,
+            }),
+            ArchChoice::Custom(arch) => Echo::Custom(ArchSimulateResponse {
+                arch,
+                layer,
+                tiling,
+                stats,
+                total_cycles,
+                seconds,
+            }),
+        };
+        Ok(Traced { response, trace })
+    }
+}
+
 /// Handles `POST /v1/simulate`.
 ///
 /// # Errors
@@ -747,60 +937,7 @@ pub struct ArchSimulateResponse {
 /// invalid architectures, invalid/zero tilings or simulation-infeasible
 /// blockings (422).
 pub fn simulate_response(v: &Value) -> Result<String, ApiError> {
-    check_layer_keys(v, &["implem", "arch", "tiling", "trace"])?;
-    let layer = LayerSpec::from_value(v)?.to_layer()?;
-    let choice = parse_arch_choice(v)?;
-    let tiling: Tiling = require(v, "tiling")?;
-    let trace_request = parse_trace_request(v)?;
-    let arch = choice.arch();
-    // `simulate` itself rejects zero/oversized tilings (InvalidTiling)
-    // before touching the block grid; its diagnosis becomes the 422 body —
-    // as does a trace request whose grid exceeds the trace caps
-    // (`TraceTooLarge` names the cap, checked before any expansion is
-    // allocated).
-    let (stats, trace) = match &trace_request {
-        None => (
-            accel_sim::simulate(&layer, &tiling, &arch)
-                .map_err(|e| ApiError::Unprocessable(e.to_string()))?,
-            None,
-        ),
-        Some(request) => {
-            let (stats, trace) =
-                accel_sim::simulate_traced(&layer, &tiling, &arch, &request.options())
-                    .map_err(|e| ApiError::Unprocessable(e.to_string()))?;
-            (stats, Some(trace))
-        }
-    };
-    match choice {
-        ArchChoice::Implem(implem) => {
-            let base = SimulateResponse {
-                implementation: implem,
-                layer,
-                tiling,
-                stats,
-                total_cycles: stats.total_cycles(),
-                seconds: stats.seconds(arch.core_freq_hz),
-            };
-            match (&trace_request, &trace) {
-                (Some(request), Some(trace)) => render_traced(&base, request, trace),
-                _ => render(&base),
-            }
-        }
-        ArchChoice::Custom(arch) => {
-            let base = ArchSimulateResponse {
-                arch,
-                layer,
-                tiling,
-                stats,
-                total_cycles: stats.total_cycles(),
-                seconds: stats.seconds(arch.core_freq_hz),
-            };
-            match (&trace_request, &trace) {
-                (Some(request), Some(trace)) => render_traced(&base, request, trace),
-                _ => render(&base),
-            }
-        }
-    }
+    render(&SimulateRequest::from_value(v)?.run()?)
 }
 
 /// Builds the named workload at the given batch — the network vocabulary
@@ -1110,20 +1247,29 @@ pub fn network_from_value(v: &Value) -> Result<(Network, usize), ApiError> {
     Ok((Network::new(name, built), batch))
 }
 
-/// Handles `POST /v1/network` — whole-network analysis; the body is exactly
-/// the [`NetworkReport`] JSON that `clb network --json` prints. `net` names
-/// a preset (see [`network_by_name`]) or is a full custom network object
-/// (see [`network_from_value`]); a custom layer list equal to a preset's
-/// produces the byte-identical response.
-///
-/// # Errors
-///
-/// [`ApiError`] on malformed requests, unknown network names, custom
-/// networks violating [`network_caps`], or unanalyzable layers (422).
-pub fn network_response(v: &Value) -> Result<String, ApiError> {
-    check_top_level_keys(v, &["net", "batch", "implem", "arch"])?;
-    let (choice, net) = match get_field(v, "net")? {
-        Some(custom @ Value::Object(_)) => {
+/// A parsed `/v1/network` body. `net` names a preset (see
+/// [`network_by_name`]) or is a full custom network object (see
+/// [`network_from_value`]); a custom layer list equal to a preset's builds
+/// the same [`Network`] and so the byte-identical response.
+#[derive(Debug, Clone)]
+pub struct NetworkRequest {
+    /// The workload.
+    pub net: Network,
+    /// Its batch size (the custom object's own, or the top-level `batch`).
+    pub batch: usize,
+    /// The Table I preset or custom architecture that runs it.
+    pub choice: ArchChoice,
+}
+
+impl Endpoint for NetworkRequest {
+    const KEYS: &'static str = "net batch implem arch";
+    /// The bare report either way: it never echoed the implementation
+    /// index, so preset requests keep their exact bytes.
+    type Response = NetworkReport;
+
+    fn from_value(v: &Value) -> Result<Self, ApiError> {
+        check_top_level_keys(v, Self::KEYS)?;
+        if let Some(custom @ Value::Object(_)) = get_field(v, "net")? {
             // The custom object carries its own batch; a second top-level
             // one would silently lose to it.
             if !matches!(get_field(v, "batch")?, None | Some(Value::Null)) {
@@ -1135,32 +1281,41 @@ pub fn network_response(v: &Value) -> Result<String, ApiError> {
             }
             // Same 4xx precedence as the preset path: arch before network.
             let choice = parse_arch_choice(v)?;
-            let (net, _batch) = network_from_value(custom)?;
-            (choice, net)
+            let (net, batch) = network_from_value(custom)?;
+            return Ok(NetworkRequest { net, batch, choice });
         }
-        _ => {
-            let name: String = optional(v, "net", "vgg16".to_string())?;
-            let batch: usize = optional(v, "batch", 3)?;
-            // Pre-existing 4xx precedence, pinned by clients: batch range
-            // first, then the arch object, then the network name
-            // (network_by_name re-checks the batch, harmlessly).
-            if !(1..=limits::MAX_BATCH).contains(&batch) {
-                return Err(ApiError::Unprocessable(format!(
-                    "batch must be 1..={}",
-                    limits::MAX_BATCH
-                )));
-            }
-            let choice = parse_arch_choice(v)?;
-            let net = network_by_name(&name, batch)?;
-            (choice, net)
+        let name: String = optional(v, "net", "vgg16".to_string())?;
+        let batch: usize = optional(v, "batch", 3)?;
+        // Pre-existing 4xx precedence, pinned by clients: batch range
+        // first, then the arch object, then the network name
+        // (network_by_name re-checks the batch, harmlessly).
+        if !(1..=limits::MAX_BATCH).contains(&batch) {
+            return Err(ApiError::Unprocessable(format!(
+                "batch must be 1..={}",
+                limits::MAX_BATCH
+            )));
         }
-    };
-    // The body is the bare `NetworkReport` either way (it never echoed the
-    // implementation index), so preset requests keep their exact bytes.
-    let report: NetworkReport = Accelerator::new(choice.arch())
-        .analyze_network(&net)
-        .map_err(|e| ApiError::Unprocessable(e.to_string()))?;
-    render(&report)
+        let choice = parse_arch_choice(v)?;
+        let net = network_by_name(&name, batch)?;
+        Ok(NetworkRequest { net, batch, choice })
+    }
+
+    fn run(&self) -> Result<NetworkReport, ApiError> {
+        Accelerator::new(self.choice.arch())
+            .analyze_network(&self.net)
+            .map_err(unprocessable)
+    }
+}
+
+/// Handles `POST /v1/network` — whole-network analysis; the body is exactly
+/// the [`NetworkReport`] JSON that `clb network --json true` prints.
+///
+/// # Errors
+///
+/// [`ApiError`] on malformed requests, unknown network names, custom
+/// networks violating [`network_caps`], or unanalyzable layers (422).
+pub fn network_response(v: &Value) -> Result<String, ApiError> {
+    render(&NetworkRequest::from_value(v)?.run()?)
 }
 
 /// Routes one parsed POST body to its endpoint handler and renders the
@@ -1176,13 +1331,13 @@ pub fn dispatch(path: &str, body: &Value) -> Response {
 /// errors).
 #[must_use]
 pub fn dispatch_with_meta(path: &str, body: &Value) -> (Response, Option<DseLogMeta>) {
-    if path == "/v1/dse" {
-        return match dse_response_with_meta(body) {
-            Ok((rendered, meta)) => (Response::json(200, rendered), Some(meta)),
-            Err(e) => (e.into_response(), None),
-        };
-    }
-    let result = match path {
+    let rendered = match path {
+        "/v1/dse" => {
+            return match dse_response_with_meta(body) {
+                Ok((rendered, meta)) => (Response::json(200, rendered), Some(meta)),
+                Err(e) => (e.into_response(), None),
+            }
+        }
         "/v1/bound" => bound_response(body),
         "/v1/sweep" => sweep_response(body),
         "/v1/plan" => plan_response(body),
@@ -1195,13 +1350,8 @@ pub fn dispatch_with_meta(path: &str, body: &Value) -> (Response, Option<DseLogM
             )
         }
     };
-    (
-        match result {
-            Ok(body) => Response::json(200, body),
-            Err(e) => e.into_response(),
-        },
-        None,
-    )
+    let response = rendered.map_or_else(ApiError::into_response, |body| Response::json(200, body));
+    (response, None)
 }
 
 #[cfg(test)]

@@ -23,14 +23,6 @@ use super::{
 };
 use crate::http::Response;
 
-// The top-level keys a `/v1/dse` body may carry, in three groups: the
-// layer spec of layer mode (`LAYER_KEYS`), the target and candidates, and
-// the keys any of which makes a request staged. Any other key is a 400:
-// nearly every field is optional, so a typo (`"objectve"`, `"strid"`)
-// would otherwise silently sweep something never asked for.
-const SWEEP_KEYS: [&str; 3] = ["target", "candidates", "grid"];
-const STAGED_KEYS: [&str; 3] = ["objective", "top_k", "stream"];
-
 /// What a `/v1/dse` request sweeps its candidates over: one layer (the
 /// layer-spec fields at the top level, the original mode) or a full model
 /// (`"target": {"network": "vgg16", "batch": 3}`).
@@ -581,6 +573,15 @@ pub struct DseRequest {
 }
 
 impl DseRequest {
+    /// The top-level keys a `/v1/dse` body may carry, space-separated, in
+    /// three groups: the layer spec of layer mode, the target and
+    /// candidates, and the keys any of which makes a request staged. Any
+    /// other key is a 400: nearly every field is optional, so a typo
+    /// (`"objectve"`, `"strid"`) would otherwise silently sweep something
+    /// never asked for.
+    pub const KEYS: &'static str =
+        "co size ci k stride batch target candidates grid objective top_k stream";
+
     /// Parses and validates a `/v1/dse` body — the only parse a body gets.
     /// The candidate cap is [`limits::MAX_DSE_CANDIDATES`] for a legacy
     /// request and [`limits::MAX_DSE_STAGED_CANDIDATES`] for a staged one
@@ -591,7 +592,7 @@ impl DseRequest {
     ///
     /// Exactly [`dse_response`]'s.
     pub fn from_value(v: &Value) -> Result<Self, ApiError> {
-        check_top_level_keys(v, &[&LAYER_KEYS[..], &SWEEP_KEYS, &STAGED_KEYS].concat())?;
+        check_top_level_keys(v, Self::KEYS)?;
         let staged = parse_staged_options(v)?;
         let target = parse_dse_target(v)?;
         let cap = staged.map_or(limits::MAX_DSE_CANDIDATES, |_| {

@@ -50,9 +50,10 @@
 //! toolkit that proves the lifecycle under hostile peers.
 //!
 //! Responses are **bit-identical** to single-threaded library output: the
-//! handlers serialize the same report structures `clb --json` prints, with
-//! the same deterministic field order, and the search engine guarantees
-//! thread-count-independent results. The integration tests pin this.
+//! handlers serialize the same report structures `clb --json true`
+//! prints, with the same deterministic field order, and the search engine
+//! guarantees thread-count-independent results. The integration tests pin
+//! this.
 //!
 //! ## Quickstart
 //!
@@ -216,12 +217,19 @@
 //! |---|---|---|---|
 //! | `/healthz` | GET | — | liveness probe |
 //! | `/v1/cache_stats` | GET | — | `clb --cache-stats` |
-//! | `/v1/bound` | POST | layer spec + `mem_kib`/`arch` | `clb bound` |
-//! | `/v1/sweep` | POST | layer spec + `mem_kib`/`arch` | `clb sweep` |
-//! | `/v1/plan` | POST | layer spec + `implem`/`arch` | `clb plan` |
-//! | `/v1/simulate` | POST | layer spec + `implem`/`arch` + `tiling` | `clb simulate` |
-//! | `/v1/network` | POST | `net` (preset name or custom object), `batch`, `implem`/`arch` | `clb network --json` |
-//! | `/v1/dse` | POST | layer spec or `target`, + `candidates`/`grid` (+ `objective`/`top_k`/`stream`) | `clb dse` |
+//! | `/v1/bound` | POST | layer spec + `mem_kib`/`arch` | `clb bound --json true` |
+//! | `/v1/sweep` | POST | layer spec + `mem_kib`/`arch` | `clb sweep --json true` |
+//! | `/v1/plan` | POST | layer spec + `implem`/`arch` (+ `trace`) | `clb plan --json true` |
+//! | `/v1/simulate` | POST | layer spec + `implem`/`arch` + `tiling` (+ `trace`) | `clb simulate --json true` |
+//! | `/v1/network` | POST | `net` (preset name or custom object), `batch`, `implem`/`arch` | `clb network --json true` |
+//! | `/v1/dse` | POST | layer spec or `target`, + `candidates`/`grid` (+ `objective`/`top_k`/`stream`) | `clb dse --json true` |
+//!
+//! Each analysis route parses its body once into one typed request
+//! ([`Endpoint`] for the first five, [`DseRequest`] for `/v1/dse`) and
+//! runs it once; `clb <verb>` builds the same body from its flags and goes
+//! through the same parse and run, so it prints the route's exact body with
+//! `--json true` and fails with the route's error messages (`docs/API.md`
+//! § CLI mirror).
 //!
 //! Layer spec fields: `co`, `size`, `ci` (required); `k` (3), `stride`
 //! (1), `batch` (3), `mem_kib` (66.5) optional with CLI-matching defaults.
@@ -280,9 +288,11 @@ mod server;
 pub use api::{
     arch_from_value, dse_job_id, dse_results, dse_staged_results, dse_stream_chunks,
     network_by_name, network_from_value, parse_staged_options, ApiError, ArchChoice,
-    ArchPlanResponse, ArchSimulateResponse, BoundResponse, DseEntry, DseLogMeta, DseReport,
-    DseRequest, DseResponse, DseSink, DseTarget, LayerSpec, PlanResponse, SimulateResponse,
-    StagedOptions, StreamMode, SweepEntry, SweepResponse, TraceFormat, TraceRequest,
+    ArchPlanResponse, ArchSimulateResponse, BoundRequest, BoundResponse, DseEntry, DseLogMeta,
+    DseReport, DseRequest, DseResponse, DseSink, DseTarget, Echo, Endpoint, LayerSpec,
+    NetworkRequest, PlanRequest, PlanResponse, SimulateRequest, SimulateResponse, StagedOptions,
+    StreamMode, SweepEntry, SweepRequest, SweepResponse, TraceFormat, TraceOutput, TraceRequest,
+    Traced,
 };
 pub use chaos::{request_bytes, ChaosClient, WireResponse};
 pub use http::{HttpError, Request, Response};

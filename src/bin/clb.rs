@@ -5,8 +5,7 @@
 //! clb sweep    --co 512 --size 28 --ci 256 ...           # all dataflows at one memory size
 //! clb plan     --co 512 --size 28 --ci 256 [--implem 1]  # tiling + simulation on an implementation
 //! clb simulate --co 512 --size 28 --ci 256 --tb 1 --tz 16 --ty 14 --tx 14 [--implem 1]
-//!              [--trace json|vcd] [--trace-out FILE]
-//! clb network  --net vgg16|alexnet|resnet50|inception|fc [--batch 3] [--implem 1] [--json true]
+//! clb network  --net vgg16|alexnet|resnet50|inception|fc [--batch 3] [--implem 1]
 //! clb network  --net-json '{"name":"n","batch":1,"layers":[{"co":64,"ci":3,"size":224}]}'
 //! clb dse      --co 512 --size 28 --ci 256 [--pe-rows 16,24,32] [--lreg 64,128] ...
 //! clb dse      --net vgg16 [--batch 3] [--pe-rows 16,24,32] ...   # whole-model sweep
@@ -16,23 +15,31 @@
 //!              [--drain-ms 5000] [--allow-shutdown true] [--log true]
 //! ```
 //!
-//! Every verb that takes `--implem` also takes `--arch '<json>'` — a full
-//! custom architecture object (fields default to Table I implementation 1),
-//! the CLI mirror of the service's `arch` field. `clb dse` sweeps a grid of
-//! candidates (comma-separated axis lists over the `--arch` base).
+//! The analysis verbs are the CLI mirror of the service's `/v1/<verb>`
+//! routes. Each flag sets one key of the route's JSON body (`FLAG_KEYS`:
+//! `--mem-kib` sets `mem_kib`, `--tb` sets `tiling.b`, `--trace` sets
+//! `trace.format`, …), and the body goes through the service's own parse
+//! and run ([`Endpoint`], [`DseRequest`]), so a verb accepts exactly what
+//! its route accepts and fails with the route's error message. A verb
+//! prints the route's exact body with `--json true` and a table otherwise.
+//! A flag the route has no key for is refused by name; `--json`,
+//! `--trace-out`, `--threads` and `--cache-stats` are the CLI's own.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
-use clb::core::{Accelerator, Objective, StagedProgress};
-use clb::model::workloads;
+use clb::core::StagedProgress;
 use clb::prelude::*;
 use clb_service::{
-    DseReport, DseRequest, DseResponse, DseSink, DseTarget, StagedOptions, StreamMode,
+    ArchChoice, BoundRequest, DseReport, DseRequest, DseResponse, DseSink, DseTarget, Echo,
+    Endpoint, NetworkRequest, PlanRequest, SimulateRequest, StreamMode, SweepRequest, TraceOutput,
 };
-use dataflow::{found_minimum, search_dataflow};
+use serde_json::Value;
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+type Flags = HashMap<String, String>;
+
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -48,11 +55,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -69,384 +72,316 @@ fn api_error_message(e: clb_service::ApiError) -> String {
     }
 }
 
-/// Parses `--arch '<json object>'` — the same schema, defaults
-/// (implementation 1) and validation as the service's `arch` field, so the
-/// CLI and the API accept exactly the same custom architectures.
-fn arch_from_flags(
-    flags: &HashMap<String, String>,
-) -> Result<Option<accel_sim::ArchConfig>, String> {
-    let Some(json) = flags.get("arch") else {
-        return Ok(None);
+/// How a flag's text becomes a JSON value.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A number. `nan`, `inf` and negatives pass through for the service
+    /// to refuse by name.
+    Number,
+    /// A string.
+    Text,
+    /// A JSON document.
+    Json,
+    /// A comma-separated list of numbers.
+    List,
+    /// `true`/`false` as a JSON bool, any other word as a string.
+    Switch,
+}
+
+use Kind::{Json, List, Number, Switch, Text};
+
+/// One flag: its name, the body key it sets (a dotted path into nested
+/// objects) and how its text becomes the value.
+type FlagKey = (&'static str, &'static str, Kind);
+
+/// The flag→key table of the analysis verbs. A verb accepts a flag when
+/// its route knows the key's first segment.
+const FLAG_KEYS: [FlagKey; 16] = [
+    ("co", "co", Number),
+    ("size", "size", Number),
+    ("ci", "ci", Number),
+    ("k", "k", Number),
+    ("stride", "stride", Number),
+    ("batch", "batch", Number),
+    ("mem-kib", "mem_kib", Number),
+    ("implem", "implem", Number),
+    ("arch", "arch", Json),
+    ("tb", "tiling.b", Number),
+    ("tz", "tiling.z", Number),
+    ("ty", "tiling.y", Number),
+    ("tx", "tiling.x", Number),
+    ("trace", "trace.format", Text),
+    ("net", "net", Text),
+    ("net-json", "net", Json),
+];
+
+/// `clb dse`'s keys, read before [`FLAG_KEYS`]: the architecture is the
+/// grid's base, a network is the target, and each grid axis takes a list.
+const DSE_FLAG_KEYS: [FlagKey; 15] = [
+    ("arch", "grid.base", Json),
+    ("net", "target.network", Text),
+    ("net-json", "target.network", Json),
+    ("objective", "objective", Text),
+    ("top-k", "top_k", Number),
+    ("stream", "stream", Switch),
+    ("pe-rows", "grid.pe_rows", List),
+    ("pe-cols", "grid.pe_cols", List),
+    ("group-rows", "grid.group_rows", List),
+    ("group-cols", "grid.group_cols", List),
+    ("lreg", "grid.lreg_entries_per_pe", List),
+    ("igbuf", "grid.igbuf_entries", List),
+    ("wgbuf", "grid.wgbuf_entries", List),
+    ("greg-bytes", "grid.greg_bytes", List),
+    ("greg-segment", "grid.greg_segment_entries", List),
+];
+
+/// The flags that set no body key.
+const CLI_ONLY: [&str; 4] = ["json", "trace-out", "threads", "cache-stats"];
+
+/// `raw`, the text of `--flag`, as a JSON value of `kind`.
+fn value_of(flag: &str, raw: &str, kind: Kind) -> Result<Value, String> {
+    let number = |text: &str| {
+        text.trim()
+            .parse()
+            .map(Value::Number)
+            .map_err(|_| format!("invalid value `{text}` for --{flag}"))
     };
-    if flags.contains_key("implem") {
-        return Err("specify either --implem or --arch, not both".into());
-    }
-    let v: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("--arch: invalid JSON: {e}"))?;
-    clb_service::arch_from_value(&v)
-        .map(Some)
-        .map_err(|e| format!("--arch: {}", api_error_message(e)))
+    Ok(match kind {
+        Number => number(raw)?,
+        Text => Value::String(raw.to_string()),
+        Json => serde_json::from_str(raw).map_err(|e| format!("--{flag}: invalid JSON: {e}"))?,
+        List => Value::Array(raw.split(',').map(number).collect::<Result<_, _>>()?),
+        Switch => raw
+            .parse()
+            .map_or_else(|_| Value::String(raw.to_string()), Value::Bool),
+    })
 }
 
-/// The architecture a verb should analyze: `--arch` JSON when given,
-/// otherwise the `--implem` preset (default 1). Returns the configuration
-/// plus the label the human-readable output prints.
-fn arch_choice_from_flags(
-    flags: &HashMap<String, String>,
-) -> Result<(accel_sim::ArchConfig, String), String> {
-    if let Some(arch) = arch_from_flags(flags)? {
-        return Ok((arch, "custom architecture".to_string()));
-    }
-    let implem: usize = get(flags, "implem", 1)?;
-    if !(1..=5).contains(&implem) {
-        return Err("--implem must be 1..=5".into());
-    }
-    Ok((
-        accel_sim::ArchConfig::implementation(implem),
-        format!("implementation {implem}"),
-    ))
-}
-
-fn layer_from_flags(flags: &HashMap<String, String>) -> Result<ConvLayer, String> {
-    let co: usize = get(flags, "co", 0)?;
-    let size: usize = get(flags, "size", 0)?;
-    let ci: usize = get(flags, "ci", 0)?;
-    if co == 0 || size == 0 || ci == 0 {
-        return Err("--co, --size and --ci are required".into());
-    }
-    let k: usize = get(flags, "k", 3)?;
-    let stride: usize = get(flags, "stride", 1)?;
-    let batch: usize = get(flags, "batch", 3)?;
-    ConvLayer::square(batch, co, size, ci, k, stride)
-        .map_err(|e| format!("--co/--size/--ci/--k/--stride/--batch: {e}"))
-}
-
-/// The memory size `bound`/`sweep` analyze: `--arch`'s effective on-chip
-/// memory when given, `--mem-kib` (default 66.5) otherwise.
-fn mem_from_flags(flags: &HashMap<String, String>) -> Result<OnChipMemory, String> {
-    match arch_from_flags(flags)? {
-        Some(arch) => {
-            if flags.contains_key("mem-kib") {
-                return Err("specify either --mem-kib or --arch, not both".into());
-            }
-            Ok(OnChipMemory::from_kib(
-                arch.effective_onchip_bytes() as f64 / 1024.0,
-            ))
-        }
-        None => Ok(OnChipMemory::from_kib(get(flags, "mem-kib", 66.5)?)),
+/// Sets `path` (`key`, or `object.key`) of the request body `fields` to
+/// `value`.
+fn insert(fields: &mut Vec<(String, Value)>, path: &str, value: Value) {
+    match path.split_once('.') {
+        None => fields.push((path.to_string(), value)),
+        Some((head, key)) => match fields.iter_mut().find(|(name, _)| name == head) {
+            Some((_, Value::Object(inner))) => inner.push((key.to_string(), value)),
+            _ => fields.push((
+                head.to_string(),
+                Value::Object(vec![(key.to_string(), value)]),
+            )),
+        },
     }
 }
 
-fn cmd_bound(flags: &HashMap<String, String>) -> Result<(), String> {
-    let layer = layer_from_flags(flags)?;
-    let mem = mem_from_flags(flags)?;
-    println!("layer: {layer} (R = {})", layer.window_reuse());
-    println!("MACs:  {:.3} G", layer.macs() as f64 / 1e9);
-    println!("effective on-chip memory: {mem}");
-    println!(
-        "Theorem 2 (asymptotic): {:.2} MB",
-        clb::bound::theorem2_dram_words(&layer, mem) * 2.0 / 1e6
-    );
-    println!(
-        "Eq. 15 practical bound: {:.2} MB",
-        clb::bound::dram_bound_bytes(&layer, mem) / 1e6
-    );
-    println!(
-        "naive (no reuse):       {:.2} MB",
-        clb::bound::naive_dram_words(&layer) * 2.0 / 1e6
-    );
-    println!(
-        "reduction factor sqrt(R*S) = {:.1}",
-        clb::bound::reduction_factor(&layer, mem)
-    );
-    Ok(())
-}
-
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let layer = layer_from_flags(flags)?;
-    let mem = mem_from_flags(flags)?;
-    println!("layer: {layer}, memory {mem}\n");
-    println!("{:<16} {:>10} {:>12}", "dataflow", "DRAM (MB)", "vs bound");
-    let bound = clb::bound::dram_bound_bytes(&layer, mem);
-    println!(
-        "{:<16} {:>10.2} {:>12}",
-        "lower bound",
-        bound / 1e6,
-        "1.00x"
-    );
-    let min = found_minimum(&layer, mem);
-    println!(
-        "{:<16} {:>10.2} {:>11.2}x",
-        "found minimum",
-        min.traffic.total_bytes() as f64 / 1e6,
-        min.traffic.total_bytes() as f64 / bound
-    );
-    for kind in DataflowKind::ALL {
-        match search_dataflow(kind, &layer, mem) {
-            Some(c) => println!(
-                "{:<16} {:>10.2} {:>11.2}x",
-                kind.name(),
-                c.traffic.total_bytes() as f64 / 1e6,
-                c.traffic.total_bytes() as f64 / bound
-            ),
-            None => println!("{:<16} {:>10} {:>12}", kind.name(), "-", "infeasible"),
-        }
+/// The request body `flags` spell, as its top-level fields, for a route
+/// whose top-level keys are `keys` (space-separated), each flag setting its
+/// key through `table` or [`FLAG_KEYS`]; and whether `--json true` asked
+/// for the route's exact body instead of the table. A flag the route has no
+/// key for, and two flags for one key, are refused by name.
+fn request_from_flags(
+    flags: &Flags,
+    table: &[FlagKey],
+    keys: &str,
+) -> Result<(Vec<(String, Value)>, bool), String> {
+    let json = get(flags, "json", false)?;
+    if flags.contains_key("trace-out") && (json || !flags.contains_key("trace")) {
+        return Err("--trace-out writes the trace of a table: \
+                    it needs --trace json|vcd and no --json true"
+            .into());
     }
-    Ok(())
-}
-
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
-    let layer = layer_from_flags(flags)?;
-    let (arch, label) = arch_choice_from_flags(flags)?;
-    let acc = Accelerator::new(arch);
-    let report = acc
-        .analyze_layer("layer", &layer)
-        .map_err(|e| e.to_string())?;
-    println!("layer: {layer}");
-    println!("{label}: {} PEs", acc.arch().pe_count());
-    println!("tiling: {}", report.tiling);
-    println!(
-        "DRAM:  {:.2} MB ({:+.1}% vs bound)",
-        report.stats.dram.total_bytes() as f64 / 1e6,
-        (report.dram_vs_bound() - 1.0) * 100.0
-    );
-    println!(
-        "GBuf:  {:.2} MB   Regs: {:.3} G writes",
-        report.stats.gbuf.total_bytes() as f64 / 1e6,
-        report.stats.reg.total_writes() as f64 / 1e9
-    );
-    println!(
-        "time:  {:.2} ms   energy: {:.2} pJ/MAC   PE util: {:.1}%",
-        report.stats.seconds(acc.arch().core_freq_hz) * 1e3,
-        report.pj_per_mac(),
-        report.stats.utilization.pe * 100.0
-    );
-    Ok(())
-}
-
-/// `clb simulate`: run the cycle simulator on an explicit, user-supplied
-/// tiling instead of the planner's choice (the CLI mirror of
-/// `POST /v1/simulate`). `--trace json|vcd` additionally records the
-/// per-block-class execution trace (VCD always carries the per-block
-/// expansion); `--trace-out FILE` writes it to a file instead of stdout.
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let layer = layer_from_flags(flags)?;
-    let (arch, label) = arch_choice_from_flags(flags)?;
-    let tiling = dataflow::Tiling {
-        b: get(flags, "tb", 0)?,
-        z: get(flags, "tz", 0)?,
-        y: get(flags, "ty", 0)?,
-        x: get(flags, "tx", 0)?,
-    };
-    // Missing flags default to 0 so one message covers both absence and an
-    // explicit zero; oversized dims are diagnosed by `simulate` itself.
-    if tiling.b == 0 || tiling.z == 0 || tiling.y == 0 || tiling.x == 0 {
-        return Err("--tb, --tz, --ty and --tx are required (nonzero)".into());
-    }
-    let trace_format = match flags.get("trace").map(String::as_str) {
-        None => None,
-        Some(format @ ("json" | "vcd")) => Some(format),
-        Some(other) => return Err(format!("unknown --trace format `{other}` (json|vcd)")),
-    };
-    let (stats, trace) = match trace_format {
-        None => (
-            accel_sim::simulate(&layer, &tiling, &arch).map_err(|e| e.to_string())?,
-            None,
-        ),
-        Some(format) => {
-            let options = accel_sim::TraceOptions {
-                expand: format == "vcd",
-            };
-            let (stats, trace) = accel_sim::simulate_traced(&layer, &tiling, &arch, &options)
-                .map_err(|e| e.to_string())?;
-            (stats, Some((format, trace)))
-        }
-    };
-    println!("layer: {layer}");
-    println!("{label}: {} PEs", arch.pe_count());
-    println!("tiling: {tiling} ({} blocks)", stats.blocks);
-    println!(
-        "DRAM:  {:.2} MB   GBuf: {:.2} MB   Regs: {:.3} G writes",
-        stats.dram.total_bytes() as f64 / 1e6,
-        stats.gbuf.total_bytes() as f64 / 1e6,
-        stats.reg.total_writes() as f64 / 1e9
-    );
-    println!(
-        "cycles: {} compute + {} stall = {}",
-        stats.compute_cycles,
-        stats.stall_cycles,
-        stats.total_cycles()
-    );
-    println!(
-        "time:  {:.2} ms   PE util: {:.1}%   memory util: {:.1}%",
-        stats.seconds(arch.core_freq_hz) * 1e3,
-        stats.utilization.pe * 100.0,
-        stats.utilization.memory_overall * 100.0
-    );
-    if let Some((format, trace)) = trace {
-        let payload = if format == "vcd" {
-            trace
-                .to_vcd()
-                .ok_or_else(|| "VCD rendering requires an expanded trace".to_string())?
-        } else {
-            serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?
+    let mut names: Vec<&String> = flags
+        .keys()
+        .filter(|f| !CLI_ONLY.contains(&f.as_str()))
+        .collect();
+    names.sort();
+    let routed =
+        |(_, path, _): &&FlagKey| keys.split(' ').any(|k| path.split('.').next() == Some(k));
+    let (mut fields, mut set_by) = (Vec::new(), Vec::new());
+    for flag in names {
+        let known = table
+            .iter()
+            .chain(&FLAG_KEYS)
+            .find(|(name, ..)| name == flag);
+        let Some(&(_, path, kind)) = known.filter(routed) else {
+            return Err(format!("unknown flag --{flag} for this verb"));
         };
-        match flags.get("trace-out") {
-            Some(path) => {
-                std::fs::write(path, &payload)
-                    .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-                println!("trace: {} {} bytes -> {path}", payload.len(), format);
-            }
-            None => println!("{payload}"),
+        if let Some((other, _)) = set_by.iter().find(|(_, p)| *p == path) {
+            return Err(format!(
+                "--{other} and --{flag} both set `{path}`; give one"
+            ));
         }
+        set_by.push((flag, path));
+        insert(&mut fields, path, value_of(flag, &flags[flag], kind)?);
     }
-    Ok(())
+    Ok((fields, json))
 }
 
-/// Resolves `--net-json '<json>'` — a full custom network object, the CLI
-/// mirror of posting `{"net": {...}}` to `/v1/network` — through the same
-/// parser and caps the service uses. Returns `None` when the flag is
-/// absent (preset `--net` path). The object carries its own `batch`, so
-/// `--batch` (and `--net`) conflict with it.
-fn net_from_flags(
-    flags: &HashMap<String, String>,
-) -> Result<Option<(workloads::Network, usize)>, String> {
-    let Some(json) = flags.get("net-json") else {
-        return Ok(None);
-    };
-    if flags.contains_key("net") {
-        return Err("specify either --net or --net-json, not both".into());
-    }
-    if flags.contains_key("batch") {
-        return Err("a custom network object carries its own `batch`; drop --batch".into());
-    }
-    let v: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("--net-json: invalid JSON: {e}"))?;
-    clb_service::network_from_value(&v)
-        .map(Some)
-        .map_err(|e| format!("--net-json: {}", api_error_message(e)))
+/// A route's exact body (`serde_json::to_string_pretty` of its response),
+/// as `--json true` prints it.
+fn render(body: Result<String, serde_json::Error>) -> Result<String, String> {
+    body.map(|json| json + "\n").map_err(|e| e.to_string())
 }
 
-/// The network `network`/`dse` analyze and its batch: the `--net-json`
-/// object when given, otherwise the `--net` preset (default `vgg16`) at
-/// `--batch` (default 3).
-fn network_from_flags(
-    flags: &HashMap<String, String>,
-) -> Result<(workloads::Network, usize), String> {
-    if let Some(custom) = net_from_flags(flags)? {
-        return Ok(custom);
-    }
-    let batch: usize = get(flags, "batch", 3)?;
-    let name = flags.get("net").map_or("vgg16", String::as_str);
-    let net = clb_service::network_by_name(name, batch).map_err(api_error_message)?;
-    Ok((net, batch))
-}
-
-fn cmd_network(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (net, batch) = network_from_flags(flags)?;
-    let (arch, label) = arch_choice_from_flags(flags)?;
-    let acc = Accelerator::new(arch);
-    let report = acc.analyze_network(&net).map_err(|e| e.to_string())?;
-
-    if get(flags, "json", false)? {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-
-    println!(
-        "{} (batch {batch}) on {label}: {:.1} GMACs",
-        net.name(),
-        net.total_macs() as f64 / 1e9
-    );
-    println!(
-        "{:<12} {:>10} {:>10} {:>9}",
-        "layer", "DRAM(MB)", "pJ/MAC", "PE util"
-    );
-    for l in &report.layers {
-        println!(
-            "{:<12} {:>10.1} {:>10.2} {:>8.1}%",
-            l.name,
-            l.stats.dram.total_bytes() as f64 / 1e6,
-            l.pj_per_mac(),
-            l.stats.utilization.pe * 100.0
-        );
-    }
-    println!(
-        "\ntotal: {:.1} MB DRAM, {:.2} pJ/MAC, {:.3} s, {:.2} W",
-        report.totals.dram.total_bytes() as f64 / 1e6,
-        report.pj_per_mac(),
-        report.seconds,
-        report.power_w()
-    );
-    Ok(())
-}
-
-/// Parses a comma-separated list flag (`--pe-rows 16,24,32`); absent flags
-/// fall back to the single default value.
-fn get_list(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<Vec<usize>, String> {
-    match flags.get(key) {
-        None => Ok(vec![default]),
-        Some(raw) => {
-            let mut values = Vec::new();
-            for part in raw.split(',') {
-                let v: usize = part
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("invalid value `{part}` in --{key}"))?;
-                values.push(v);
-            }
-            if values.is_empty() {
-                return Err(format!("--{key} needs at least one value"));
-            }
-            Ok(values)
-        }
-    }
-}
-
-/// The staged-mode CLI flags, mirroring `/v1/dse`'s staged fields: any of
-/// `--objective`, `--top-k` or `--stream` switches `clb dse` from the
-/// legacy evaluate-everything sweep to the bound-pruned staged engine
-/// (larger candidate cap, ranked frontier, optional live progress —
-/// `--stream true` is the chunked mode, its snapshots printed as stderr
-/// progress lines).
-fn staged_flags(flags: &HashMap<String, String>) -> Result<Option<StagedOptions>, String> {
-    use clb_service::api::limits;
-    if !["objective", "top-k", "stream"]
-        .iter()
-        .any(|k| flags.contains_key(*k))
-    {
-        return Ok(None);
-    }
-    let objective = match flags.get("objective") {
-        None => Objective::Cycles,
-        Some(name) => Objective::parse(name).ok_or_else(|| {
-            format!("unknown --objective `{name}` (expected cycles, traffic, energy or pareto)")
-        })?,
-    };
-    let top_k: usize = get(flags, "top-k", limits::DEFAULT_DSE_TOP_K)?;
-    if !(1..=limits::MAX_DSE_TOP_K).contains(&top_k) {
-        return Err(format!(
-            "--top-k must be between 1 and {}",
-            limits::MAX_DSE_TOP_K
-        ));
-    }
-    let stream = if get(flags, "stream", false)? {
-        StreamMode::Chunked
+/// An analysis verb: its flags become the route's body, which parses and
+/// runs exactly as the service's would; the output is the rendered body
+/// with `--json true`, the verb's `table` otherwise.
+fn analyze<E: Endpoint>(
+    flags: &Flags,
+    table: impl FnOnce(&E, &E::Response) -> Result<String, String>,
+) -> Result<String, String> {
+    let (fields, json) = request_from_flags(flags, &[], E::KEYS)?;
+    let request = E::from_value(&Value::Object(fields)).map_err(api_error_message)?;
+    let response = request.run().map_err(api_error_message)?;
+    if json {
+        render(serde_json::to_string_pretty(&response))
     } else {
-        StreamMode::Sync
+        table(&request, &response)
+    }
+}
+
+fn label(choice: &ArchChoice) -> String {
+    match choice {
+        ArchChoice::Implem(implem) => format!("implementation {implem}"),
+        ArchChoice::Custom(_) => "custom architecture".to_string(),
+    }
+}
+
+/// Appends a requested trace to a table: printed after it, or written to
+/// `--trace-out FILE` with a one-line receipt.
+fn with_trace(
+    mut table: String,
+    trace: Option<&TraceOutput>,
+    path: Option<&String>,
+) -> Result<String, String> {
+    let (format, payload) = match trace {
+        None => return Ok(table),
+        Some(TraceOutput::Json(trace)) => (
+            "json",
+            serde_json::to_string_pretty(trace).map_err(|e| e.to_string())?,
+        ),
+        Some(TraceOutput::Vcd(vcd)) => ("vcd", vcd.clone()),
     };
-    Ok(Some(StagedOptions {
-        objective,
-        top_k,
-        stream,
-    }))
+    match path {
+        Some(path) => {
+            std::fs::write(path, &payload)
+                .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+            table += &format!("trace: {} {format} bytes -> {path}\n", payload.len());
+        }
+        None => table += &format!("{payload}\n"),
+    }
+    Ok(table)
+}
+
+fn mb(bytes: u64) -> f64 {
+    bytes as f64 / 1e6
+}
+
+fn cmd_bound(flags: &Flags) -> Result<String, String> {
+    analyze(flags, |_: &BoundRequest, b| {
+        let memory = OnChipMemory::from_kib(b.mem_kib);
+        let mut out = format!("layer: {} (R = {})\n", b.layer, b.window_reuse);
+        out += &format!("MACs:  {:.3} G\n", b.macs as f64 / 1e9);
+        out += &format!("effective on-chip memory: {memory}\n");
+        out += &format!("Theorem 2 (asymptotic): {:.2} MB\n", b.theorem2_bytes / 1e6);
+        out += &format!("Eq. 15 practical bound: {:.2} MB\n", b.bound_bytes / 1e6);
+        out += &format!("naive (no reuse):       {:.2} MB\n", b.naive_bytes / 1e6);
+        out += &format!("reduction factor sqrt(R*S) = {:.1}\n", b.reduction_factor);
+        Ok(out)
+    })
+}
+
+fn cmd_sweep(flags: &Flags) -> Result<String, String> {
+    analyze(flags, |_: &SweepRequest, s| {
+        let bound = s.bound_bytes;
+        let row = |name: &str, b: u64| {
+            format!("{name:<16} {:>10.2} {:>11.2}x\n", mb(b), b as f64 / bound)
+        };
+        let (memory, lower) = (OnChipMemory::from_kib(s.mem_kib), bound / 1e6);
+        let mut out = format!("layer: {}, memory {memory}\n\n", s.layer);
+        out += "dataflow          DRAM (MB)     vs bound\n";
+        out += &format!("{:<16} {lower:>10.2} {:>12}\n", "lower bound", "1.00x");
+        out += &row("found minimum", s.found_minimum.traffic.total_bytes());
+        for entry in &s.dataflows {
+            out += &match &entry.choice {
+                Some(c) => row(&entry.name, c.traffic.total_bytes()),
+                None => format!("{:<16} {:>10} {:>12}\n", entry.name, "-", "infeasible"),
+            };
+        }
+        Ok(out)
+    })
+}
+
+/// The first lines of `plan` and `simulate`: the layer and what ran it.
+fn layer_heading(layer: &ConvLayer, choice: &ArchChoice) -> String {
+    let pes = choice.arch().pe_count();
+    format!("layer: {layer}\n{}: {pes} PEs\n", label(choice))
+}
+
+fn cmd_plan(flags: &Flags) -> Result<String, String> {
+    analyze(flags, |request: &PlanRequest, answer| {
+        let report = match &answer.response {
+            Echo::Implem(preset) => &preset.report,
+            Echo::Custom(custom) => &custom.report,
+        };
+        let stats = &report.stats;
+        let mut out = layer_heading(&request.layer, &request.choice);
+        out += &format!("tiling: {}\n", report.tiling);
+        let dram = mb(stats.dram.total_bytes());
+        let vs_bound = (report.dram_vs_bound() - 1.0) * 100.0;
+        out += &format!("DRAM:  {dram:.2} MB ({vs_bound:+.1}% vs bound)\n");
+        let gbuf = mb(stats.gbuf.total_bytes());
+        let writes = stats.reg.total_writes() as f64 / 1e9;
+        out += &format!("GBuf:  {gbuf:.2} MB   Regs: {writes:.3} G writes\n");
+        let ms = stats.seconds(request.choice.arch().core_freq_hz) * 1e3;
+        let (pj, pe) = (report.pj_per_mac(), stats.utilization.pe * 100.0);
+        out += &format!("time:  {ms:.2} ms   energy: {pj:.2} pJ/MAC   PE util: {pe:.1}%\n");
+        with_trace(out, answer.trace.as_ref(), flags.get("trace-out"))
+    })
+}
+
+/// `clb simulate`: the cycle simulator on an explicit tiling instead of the
+/// planner's choice. `--trace json|vcd` also records the execution trace
+/// (VCD always carries the per-block expansion), printed after the table or
+/// written to `--trace-out FILE`.
+fn cmd_simulate(flags: &Flags) -> Result<String, String> {
+    analyze(flags, |request: &SimulateRequest, answer| {
+        let (stats, total_cycles, seconds) = match &answer.response {
+            Echo::Implem(preset) => (&preset.stats, preset.total_cycles, preset.seconds),
+            Echo::Custom(custom) => (&custom.stats, custom.total_cycles, custom.seconds),
+        };
+        let mut out = layer_heading(&request.layer, &request.choice);
+        out += &format!("tiling: {} ({} blocks)\n", request.tiling, stats.blocks);
+        let (dram, gbuf) = (mb(stats.dram.total_bytes()), mb(stats.gbuf.total_bytes()));
+        let writes = stats.reg.total_writes() as f64 / 1e9;
+        out += &format!("DRAM:  {dram:.2} MB   GBuf: {gbuf:.2} MB   Regs: {writes:.3} G writes\n");
+        let (compute, stall) = (stats.compute_cycles, stats.stall_cycles);
+        out += &format!("cycles: {compute} compute + {stall} stall = {total_cycles}\n");
+        let (ms, pe) = (seconds * 1e3, stats.utilization.pe * 100.0);
+        let memory = stats.utilization.memory_overall * 100.0;
+        out += &format!("time:  {ms:.2} ms   PE util: {pe:.1}%   memory util: {memory:.1}%\n");
+        with_trace(out, answer.trace.as_ref(), flags.get("trace-out"))
+    })
+}
+
+fn cmd_network(flags: &Flags) -> Result<String, String> {
+    analyze(flags, |request: &NetworkRequest, report| {
+        let (name, batch) = (request.net.name(), request.batch);
+        let (on, gmacs) = (
+            label(&request.choice),
+            request.net.total_macs() as f64 / 1e9,
+        );
+        let mut out = format!("{name} (batch {batch}) on {on}: {gmacs:.1} GMACs\n");
+        out += "layer          DRAM(MB)     pJ/MAC   PE util\n";
+        for l in &report.layers {
+            let dram = mb(l.stats.dram.total_bytes());
+            let (pj, pe) = (l.pj_per_mac(), l.stats.utilization.pe * 100.0);
+            out += &format!("{:<12} {dram:>10.1} {pj:>10.2} {pe:>8.1}%\n", l.name);
+        }
+        let (dram, pj) = (mb(report.totals.dram.total_bytes()), report.pj_per_mac());
+        let (seconds, watts) = (report.seconds, report.power_w());
+        out +=
+            &format!("\ntotal: {dram:.1} MB DRAM, {pj:.2} pJ/MAC, {seconds:.3} s, {watts:.2} W\n");
+        Ok(out)
+    })
 }
 
 /// How `clb dse` presents a sweep: with `--stream true`, one stderr line
@@ -462,7 +397,7 @@ struct DsePrinter {
 }
 
 impl DseSink for DsePrinter {
-    type Output = Result<(), String>;
+    type Output = Result<String, String>;
 
     fn progress<R: DseReport>(&mut self, p: &StagedProgress<'_, R>) {
         if self.stream {
@@ -471,11 +406,9 @@ impl DseSink for DsePrinter {
         }
     }
 
-    fn finish<R: DseReport>(self, response: DseResponse<R>) -> Result<(), String> {
+    fn finish<R: DseReport>(self, response: DseResponse<R>) -> Result<String, String> {
         if self.json {
-            let json = serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?;
-            println!("{json}");
-            return Ok(());
+            return render(serde_json::to_string_pretty(&response));
         }
         let funnel = match response.ranking {
             None => format!("{} feasible)", response.feasible()),
@@ -487,106 +420,79 @@ impl DseSink for DsePrinter {
                 objective.as_str()
             ),
         };
-        println!(
-            "{} — {} candidates ({} distinct, {funnel}\n",
-            self.heading, response.submitted, response.unique
+        let (submitted, unique) = (response.submitted, response.unique);
+        let mut out = format!(
+            "{} — {submitted} candidates ({unique} distinct, {funnel}\n\n",
+            self.heading
         );
-        println!(
-            "{:<10} {:>8} {:>12} {:>12} {:>10} {:>9}",
-            "PEs", "eff KiB", "cycles", "DRAM (MB)", "pJ/MAC", "time(ms)"
-        );
+        out += "PEs         eff KiB       cycles    DRAM (MB)     pJ/MAC  time(ms)\n";
         for entry in &response.results {
             let pes = format!("{}x{}", entry.arch.pe_rows, entry.arch.pe_cols);
             let eff = entry.arch.effective_onchip_bytes() as f64 / 1024.0;
-            match (&entry.report, entry.total_cycles, entry.seconds) {
-                (Some(report), Some(cycles), Some(seconds)) => println!(
-                    "{pes:<10} {eff:>8.1} {cycles:>12} {:>12.2} {:>10.2} {:>9.2}",
+            out += &match (&entry.report, entry.total_cycles, entry.seconds) {
+                (Some(report), Some(cycles), Some(seconds)) => format!(
+                    "{pes:<10} {eff:>8.1} {cycles:>12} {:>12.2} {:>10.2} {:>9.2}\n",
                     (report.sweep_dram_words() * clb::model::BYTES_PER_WORD) as f64 / 1e6,
                     report.sweep_energy_pj() / self.macs as f64,
                     seconds * 1e3
                 ),
-                _ => println!(
-                    "{pes:<10} {eff:>8.1} infeasible: {}",
+                _ => format!(
+                    "{pes:<10} {eff:>8.1} infeasible: {}\n",
                     entry.error.as_deref().unwrap_or("unknown")
                 ),
-            }
+            };
         }
-        Ok(())
+        Ok(out)
     }
 }
 
 /// `clb dse`: sweep a grid of candidate architectures over one layer, or —
-/// with `--net`/`--net-json` — over a full model (the CLI mirror of
-/// `POST /v1/dse` in both its modes, run through the same
-/// [`DseRequest::run`]). The grid axes are comma-separated lists; unlisted
-/// axes stay at the base architecture (`--arch` JSON, default Table I
-/// implementation 1). `--json true` prints the identical structure the
-/// service returns. `--objective`, `--top-k` and `--stream` select the
-/// staged engine (the CLI mirror of the same fields on `POST /v1/dse`).
-fn cmd_dse(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (target, heading, macs) = if flags.contains_key("net") || flags.contains_key("net-json") {
-        let layer_flags = ["co", "size", "ci", "k", "stride"];
-        if let Some(flag) = layer_flags.iter().find(|f| flags.contains_key(**f)) {
-            return Err(format!(
-                "specify either a network (--net/--net-json) or the layer \
-                 flag --{flag}, not both"
-            ));
+/// with `--net`/`--net-json` — over a full model, through the service's
+/// [`DseRequest`]. Unlisted grid axes stay at the base architecture
+/// (`--arch`, default Table I implementation 1); `--objective`, `--top-k`
+/// and `--stream true` select the staged engine. `--stream job` is refused:
+/// jobs live in `clb serve`'s job store.
+fn cmd_dse(flags: &Flags) -> Result<String, String> {
+    // A network target carries its own batch.
+    let network = flags.contains_key("net") || flags.contains_key("net-json");
+    let target_batch = network.then_some(("batch", "target.batch", Number));
+    let table: Vec<FlagKey> = target_batch.into_iter().chain(DSE_FLAG_KEYS).collect();
+    let (mut fields, json) = request_from_flags(flags, &table, DseRequest::KEYS)?;
+    if !fields.iter().any(|(key, _)| key == "grid") {
+        // No axis and no base: the grid is implementation 1 alone.
+        fields.push(("grid".to_string(), Value::Object(Vec::new())));
+    }
+    let request = DseRequest::from_value(&Value::Object(fields)).map_err(api_error_message)?;
+    let stream = request.staged.map(|o| o.stream);
+    if stream == Some(StreamMode::Job) {
+        return Err("--stream job needs the job store of `clb serve`; \
+                    use --stream true for live progress"
+            .into());
+    }
+    let (heading, macs) = match &request.target {
+        DseTarget::Layer(layer) => (format!("layer: {layer}"), layer.macs()),
+        DseTarget::Network { net, batch } => {
+            (format!("{} (batch {batch})", net.name()), net.total_macs())
         }
-        let (net, batch) = network_from_flags(flags)?;
-        let heading = format!("{} (batch {batch})", net.name());
-        let macs = net.total_macs();
-        (DseTarget::Network { net, batch }, heading, macs)
-    } else {
-        let layer = layer_from_flags(flags)?;
-        let heading = format!("layer: {layer}");
-        (DseTarget::Layer(layer), heading, layer.macs())
     };
-    let base = arch_from_flags(flags)?.unwrap_or_else(accel_sim::ArchConfig::example);
-    let staged = staged_flags(flags)?;
-    let printer = DsePrinter {
+    request.run(DsePrinter {
         heading,
         macs,
-        json: get(flags, "json", false)?,
-        stream: staged.is_some_and(|o| o.stream == StreamMode::Chunked),
-    };
-    let archs = grid_archs_from_flags(flags, &base, staged.is_some())?;
-    DseRequest {
-        target,
-        archs,
-        staged,
-    }
-    .run(printer)
+        json,
+        stream: stream == Some(StreamMode::Chunked),
+    })
 }
 
-/// Expands the `clb dse` grid flags into validated candidates. Axis order
-/// is `api::GRID_AXES`; the expansion itself is shared with the service
-/// (`api::archs_from_axes`), so `clb dse` and `/v1/dse` can never disagree
-/// on which field an axis sweeps. Staged sweeps get the service's larger
-/// staged candidate budget, exactly like a staged `/v1/dse` request.
-fn grid_archs_from_flags(
-    flags: &HashMap<String, String>,
-    base: &accel_sim::ArchConfig,
-    staged: bool,
-) -> Result<Vec<accel_sim::ArchConfig>, String> {
-    let axes: [Vec<usize>; 9] = [
-        get_list(flags, "pe-rows", base.pe_rows)?,
-        get_list(flags, "pe-cols", base.pe_cols)?,
-        get_list(flags, "group-rows", base.group_rows)?,
-        get_list(flags, "group-cols", base.group_cols)?,
-        get_list(flags, "lreg", base.lreg_entries_per_pe)?,
-        get_list(flags, "igbuf", base.igbuf_entries)?,
-        get_list(flags, "wgbuf", base.wgbuf_entries)?,
-        get_list(flags, "greg-bytes", base.greg_bytes)?,
-        get_list(flags, "greg-segment", base.greg_segment_entries)?,
-    ];
-    if staged {
-        clb_service::api::archs_from_axes_staged(&axes, base).map_err(api_error_message)
-    } else {
-        clb_service::api::archs_from_axes(&axes, base).map_err(api_error_message)
-    }
-}
+/// `clb serve`'s own flags; with the engine flags, the only ones it takes.
+const SERVE_FLAGS: &str = "port threads cache-stats io-workers queue result-cache max-body \
+                           keepalive-requests keepalive-idle-ms max-connections drain-ms \
+                           allow-shutdown log search-cache";
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<String, String> {
+    let known = |flag: &&String| SERVE_FLAGS.split_whitespace().any(|k| k == flag.as_str());
+    if let Some(flag) = flags.keys().filter(|f| !known(f)).min() {
+        return Err(format!("unknown flag --{flag} for clb serve"));
+    }
     let mut config = clb_service::ServiceConfig {
         port: get(flags, "port", 8080)?,
         threads: get(flags, "threads", 0)?,
@@ -627,7 +533,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         "clb-service listening on http://{} (try GET /healthz)",
         server.local_addr().map_err(|e| e.to_string())?
     );
-    server.run().map_err(|e| e.to_string())
+    server.run().map_err(|e| e.to_string())?;
+    Ok(String::new())
 }
 
 fn usage() -> &'static str {
@@ -635,14 +542,14 @@ fn usage() -> &'static str {
      \n\
      clb bound    --co 512 --size 28 --ci 256 [--k 3] [--stride 1] [--batch 3] [--mem-kib 66.5]\n\
      clb sweep    --co 512 --size 28 --ci 256 [--mem-kib 66.5]\n\
-     clb plan     --co 512 --size 28 --ci 256 [--implem 1]\n\
+     clb plan     --co 512 --size 28 --ci 256 [--implem 1] [--trace json|vcd]\n\
      clb simulate --co 512 --size 28 --ci 256 --tb 1 --tz 16 --ty 14 --tx 14 [--implem 1]\n\
      \\            [--trace json|vcd] [--trace-out FILE]   # execution trace (VCD: GTKWave)\n\
      clb network  --net vgg16|alexnet|resnet50|inception|fc [--batch 3] [--implem 1]\n\
-     \\            [--json true]   (or --net-json '<json>': a custom network object)\n\
+     \\            (or --net-json '<json>': a custom network object)\n\
      clb dse      --co 512 --size 28 --ci 256 [--pe-rows 16,24,32] [--pe-cols ...]\n\
      \\            [--group-rows ...] [--group-cols ...] [--lreg 64,128] [--igbuf ...]\n\
-     \\            [--wgbuf ...] [--greg-bytes ...] [--greg-segment ...] [--json true]\n\
+     \\            [--wgbuf ...] [--greg-bytes ...] [--greg-segment ...]\n\
      \\            [--objective cycles|traffic|energy|pareto] [--top-k 16] [--stream true]\n\
      \\            (any staged flag switches to the bound-pruned engine: 2^20\n\
      \\            candidate cap, ranked top-k frontier, live progress on stderr)\n\
@@ -656,7 +563,11 @@ fn usage() -> &'static str {
      \\            [--max-connections 1024] [--drain-ms 5000] [--allow-shutdown true]\n\
      \\            [--log true]   (--io-workers: HTTP I/O worker threads; 0 = auto)\n\
      \n\
+     Each analysis verb sends its flags as the body of POST /v1/<verb> through the\n\
+     service's parser (docs/API.md, CLI mirror): same caps, same errors.\n\
+     \n\
      global flags:\n\
+     --json true        print the route's exact JSON body instead of the table\n\
      --threads N        worker threads (search engine; serve: compute permits; 0 = auto)\n\
      --cache-stats true print search-cache hits/misses after the command\n\
      --arch '<json>'    full custom architecture (any verb that takes --implem;\n\
@@ -670,7 +581,7 @@ fn usage() -> &'static str {
 
 /// Applies the global engine flags (`--threads`, `--cache-stats`); returns
 /// whether cache statistics were requested.
-fn apply_engine_flags(flags: &HashMap<String, String>) -> Result<bool, String> {
+fn apply_engine_flags(flags: &Flags) -> Result<bool, String> {
     let threads: usize = get(flags, "threads", 0)?;
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -688,6 +599,20 @@ fn print_cache_stats() {
         stats.hit_rate() * 100.0,
         stats.entries
     );
+}
+
+/// Writes a verb's whole output with one write to the locked stdout. A
+/// reader that closed the pipe early (`clb sweep … | head -1`) ends the
+/// command quietly.
+fn write_stdout(out: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write output: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn main() -> ExitCode {
@@ -708,6 +633,7 @@ fn main() -> ExitCode {
             "serve" => cmd_serve(&flags),
             other => Err(format!("unknown command `{other}`\n{}", usage())),
         };
+        let outcome = outcome.and_then(|out| write_stdout(&out));
         if cache_stats {
             print_cache_stats();
         }
@@ -774,10 +700,11 @@ mod tests {
         assert!(err.contains("--threads"), "{err}");
         let err = get::<usize>(&flags(&[("io-workers", "-1")]), "io-workers", 0).unwrap_err();
         assert!(err.contains("--io-workers"), "{err}");
-        // Layer validation failures name the layer flags, not just the cause.
+        // Layer validation failures name the offending field: the service's
+        // message for a zero kernel names the kernel dimension.
         let zero_k = flags(&[("co", "16"), ("size", "14"), ("ci", "8"), ("k", "0")]);
-        let err = layer_from_flags(&zero_k).unwrap_err();
-        assert!(err.contains("--k"), "{err}");
+        let err = cmd_bound(&zero_k).unwrap_err();
+        assert!(err.contains("kernel"), "{err}");
     }
 
     #[test]
@@ -796,10 +723,10 @@ mod tests {
 
     #[test]
     fn layer_requires_core_dimensions() {
-        assert!(layer_from_flags(&flags(&[("co", "64")])).is_err());
-        let ok = layer_from_flags(&flags(&[("co", "64"), ("size", "28"), ("ci", "32")]));
-        assert!(ok.is_ok());
-        assert_eq!(ok.unwrap().out_channels(), 64);
+        let err = cmd_bound(&flags(&[("co", "64")])).unwrap_err();
+        assert!(err.contains("`size`"), "{err}");
+        let out = cmd_bound(&flags(&[("co", "64"), ("size", "28"), ("ci", "32")])).unwrap();
+        assert!(out.starts_with("layer: conv B3x64x28x28 <- Ci32"), "{out}");
     }
 
     #[test]
@@ -823,7 +750,7 @@ mod tests {
         cmd_simulate(&ok).unwrap();
         // Missing tiling flags.
         let missing = flags(&base);
-        assert!(cmd_simulate(&missing).unwrap_err().contains("--tb"));
+        assert!(cmd_simulate(&missing).unwrap_err().contains("`tiling`"));
         // Zero dimension.
         let zero = flags(
             &[
@@ -901,28 +828,29 @@ mod tests {
     fn net_json_parses_a_custom_network_through_the_service_caps() {
         const TINY: &str = "{\"name\":\"tiny\",\"batch\":1,\
              \"layers\":[{\"co\":8,\"ci\":3,\"size\":14}]}";
-        let (net, batch) = net_from_flags(&flags(&[("net-json", TINY)]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(net.name(), "tiny");
-        assert_eq!(batch, 1);
-        assert_eq!(net.len(), 1);
+        let out = cmd_network(&flags(&[("net-json", TINY)])).unwrap();
+        assert!(
+            out.starts_with("tiny (batch 1) on implementation 1"),
+            "{out}"
+        );
+        assert_eq!(out.lines().filter(|l| l.starts_with("conv")).count(), 1);
         // Absent flag: the preset path.
-        assert!(net_from_flags(&flags(&[])).unwrap().is_none());
+        let out = cmd_network(&flags(&[("net", "alexnet"), ("batch", "1")])).unwrap();
+        assert!(out.starts_with("AlexNet (batch 1)"), "{out}");
         // Conflicts: --net and --batch both clash with the object's own fields.
-        let err = net_from_flags(&flags(&[("net-json", TINY), ("net", "vgg16")])).unwrap_err();
+        let err = cmd_network(&flags(&[("net-json", TINY), ("net", "vgg16")])).unwrap_err();
         assert!(err.contains("--net-json"), "{err}");
-        let err = net_from_flags(&flags(&[("net-json", TINY), ("batch", "2")])).unwrap_err();
-        assert!(err.contains("--batch"), "{err}");
+        let err = cmd_network(&flags(&[("net-json", TINY), ("batch", "2")])).unwrap_err();
+        assert!(err.contains("batch"), "{err}");
         // Structural and cap failures surface the service's message under
         // the flag's name.
-        let err = net_from_flags(&flags(&[("net-json", "{nope")])).unwrap_err();
+        let err = cmd_network(&flags(&[("net-json", "{nope")])).unwrap_err();
         assert!(
             err.contains("--net-json") && err.contains("invalid JSON"),
             "{err}"
         );
-        let err =
-            net_from_flags(&flags(&[("net-json", "{\"batch\":1,\"layers\":[]}")])).unwrap_err();
+        let empty = "{\"batch\":1,\"layers\":[]}";
+        let err = cmd_network(&flags(&[("net-json", empty)])).unwrap_err();
         assert!(err.contains("at least one layer"), "{err}");
         // The whole verb paths accept it end to end.
         cmd_network(&flags(&[("net-json", TINY)])).unwrap();
@@ -934,23 +862,49 @@ mod tests {
 
     #[test]
     fn arch_flag_parses_validates_and_conflicts() {
-        // Valid custom architecture with defaults filled in.
-        let f = flags(&[("arch", "{\"pe_rows\":24,\"pe_cols\":24}")]);
-        let arch = arch_from_flags(&f).unwrap().unwrap();
-        assert_eq!((arch.pe_rows, arch.pe_cols), (24, 24));
-        assert_eq!(arch.wgbuf_entries, 256, "unset fields default to impl 1");
+        let layer = [("co", "16"), ("size", "14"), ("ci", "8"), ("batch", "1")];
+        let with = |extra: &[(&str, &str)]| flags(&[&layer[..], extra].concat());
+        // Valid custom architecture with defaults filled in, echoed by the
+        // service body.
+        let arch = ("arch", "{\"pe_rows\":24,\"pe_cols\":24}");
+        let out = cmd_plan(&with(&[arch, ("json", "true")])).unwrap();
+        let echo: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let echo = echo.get_field("arch").unwrap();
+        assert_eq!(
+            echo.get_field("pe_rows").unwrap().as_number().unwrap(),
+            24.0
+        );
+        assert_eq!(
+            echo.get_field("pe_cols").unwrap().as_number().unwrap(),
+            24.0
+        );
+        let wgbuf = echo
+            .get_field("wgbuf_entries")
+            .unwrap()
+            .as_number()
+            .unwrap();
+        assert_eq!(wgbuf, 256.0, "unset fields default to impl 1");
+        assert!(cmd_plan(&with(&[arch]))
+            .unwrap()
+            .contains("custom architecture: 576 PEs"));
         // Invalid JSON and violated invariants are reported.
-        assert!(arch_from_flags(&flags(&[("arch", "{nope")]))
-            .unwrap_err()
-            .contains("invalid JSON"));
-        assert!(arch_from_flags(&flags(&[("arch", "{\"pe_rows\":0}")]))
-            .unwrap_err()
-            .contains("non-empty"));
+        let err = cmd_plan(&with(&[("arch", "{nope")])).unwrap_err();
+        assert!(
+            err.contains("--arch") && err.contains("invalid JSON"),
+            "{err}"
+        );
+        let err = cmd_plan(&with(&[("arch", "{\"pe_rows\":0}")])).unwrap_err();
+        assert!(
+            err.contains("invalid arch: PE array must be non-empty"),
+            "{err}"
+        );
         // --arch and --implem are mutually exclusive.
-        let both = flags(&[("arch", "{}"), ("implem", "2")]);
-        assert!(arch_from_flags(&both).unwrap_err().contains("either"));
+        let err = cmd_plan(&with(&[("arch", "{}"), ("implem", "2")])).unwrap_err();
+        assert!(err.contains("either") && err.contains("implem") && err.contains("arch"));
         // No flag at all means "use --implem".
-        assert!(arch_from_flags(&flags(&[])).unwrap().is_none());
+        assert!(cmd_plan(&with(&[]))
+            .unwrap()
+            .contains("implementation 1: 256 PEs"));
     }
 
     #[test]
@@ -1033,7 +987,7 @@ mod tests {
             .unwrap_err()
             .contains("cycles, traffic, energy or pareto"));
         let bad_top_k = flags(&[&base[..], &[("objective", "cycles"), ("top-k", "0")]].concat());
-        assert!(cmd_dse(&bad_top_k).unwrap_err().contains("--top-k"));
+        assert!(cmd_dse(&bad_top_k).unwrap_err().contains("top_k"));
         let bad_stream = flags(&[&base[..], &[("stream", "yes")]].concat());
         assert!(cmd_dse(&bad_stream).is_err());
         // A grid over the legacy 256 cap is fine under the staged budget.
@@ -1090,5 +1044,95 @@ mod tests {
         // Leave the global thread count on auto for the other tests.
         apply_engine_flags(&flags(&[("threads", "0")])).unwrap();
         print_cache_stats();
+    }
+
+    #[test]
+    fn every_flag_sets_a_key_some_route_knows() {
+        let routes = [
+            BoundRequest::KEYS,
+            SweepRequest::KEYS,
+            PlanRequest::KEYS,
+            SimulateRequest::KEYS,
+            NetworkRequest::KEYS,
+        ];
+        let head = |path: &str| path.split('.').next().unwrap().to_string();
+        for (flag, path, _) in FLAG_KEYS {
+            let known = routes
+                .iter()
+                .any(|keys| keys.split(' ').any(|k| k == head(path)));
+            assert!(known, "--{flag} sets `{path}`, which no route knows");
+        }
+        for (flag, path, _) in DSE_FLAG_KEYS {
+            let known = DseRequest::KEYS.split(' ').any(|k| k == head(path));
+            assert!(known, "--{flag} sets `{path}`, which /v1/dse does not know");
+        }
+    }
+
+    #[test]
+    fn flags_a_route_has_no_key_for_are_refused_by_name() {
+        let layer = [("co", "64"), ("size", "28"), ("ci", "32")];
+        let with = |extra: (&str, &str)| flags(&[&layer[..], &[extra]].concat());
+        // A typo used to analyze stride 1 without a word.
+        let err = cmd_bound(&with(("strid", "2"))).unwrap_err();
+        assert!(err.contains("--strid"), "{err}");
+        // Real flags of other verbs are refused too, not ignored.
+        let err = cmd_plan(&with(("mem-kib", "16"))).unwrap_err();
+        assert!(err.contains("--mem-kib"), "{err}");
+        let err = cmd_dse(&with(("implem", "2"))).unwrap_err();
+        assert!(err.contains("--implem"), "{err}");
+        let err = cmd_serve(&flags(&[("prot", "8080")])).unwrap_err();
+        assert!(err.contains("--prot"), "{err}");
+    }
+
+    #[test]
+    fn two_flags_for_one_key_are_refused_naming_both() {
+        let net = [("net", "alexnet"), ("net-json", "{\"layers\":[]}")];
+        for err in [cmd_network(&flags(&net)), cmd_dse(&flags(&net))].map(Result::unwrap_err) {
+            assert!(
+                err.contains("--net ") && err.contains("--net-json"),
+                "{err}"
+            );
+        }
+        let layer = [("co", "64"), ("size", "28"), ("ci", "32")];
+        let both = flags(&[&layer[..], &[("arch", "{}"), ("implem", "2")]].concat());
+        let err = cmd_plan(&both).unwrap_err();
+        assert!(err.contains("`implem`") && err.contains("`arch`"), "{err}");
+    }
+
+    #[test]
+    fn trace_out_needs_a_trace_and_the_table() {
+        let sim = [
+            ("co", "16"),
+            ("size", "14"),
+            ("ci", "8"),
+            ("batch", "1"),
+            ("tb", "1"),
+            ("tz", "8"),
+            ("ty", "7"),
+            ("tx", "7"),
+        ];
+        let path = std::env::temp_dir().join(format!("clb-trace-out-{}", std::process::id()));
+        let out = ("trace-out", path.to_str().unwrap());
+        // Without --trace there is nothing to write: refused, not ignored.
+        let err = cmd_simulate(&flags(&[&sim[..], &[out]].concat())).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+        // With --json true the trace is in the body.
+        let json = [out, ("trace", "json"), ("json", "true")];
+        let err = cmd_simulate(&flags(&[&sim[..], &json].concat())).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+        assert!(!path.exists(), "a refused command wrote {}", path.display());
+    }
+
+    #[test]
+    fn dse_refuses_job_streams() {
+        let f = flags(&[
+            ("co", "16"),
+            ("size", "14"),
+            ("ci", "8"),
+            ("pe-rows", "16"),
+            ("stream", "job"),
+        ]);
+        let err = cmd_dse(&f).unwrap_err();
+        assert!(err.contains("--stream job"), "{err}");
     }
 }
