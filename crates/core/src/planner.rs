@@ -18,23 +18,22 @@
 //! orchestration keeps the prune and tie-break semantics of the planner and
 //! the abstract search from drifting apart.
 //!
-//! Results are memoized process-wide in a bounded LRU keyed by
-//! `(layer shape, architecture)` — the same machinery as the abstract
-//! search's memo cache — so long-running embedders (the analysis service's
+//! Results are memoized process-wide in a bounded [`Memo`] keyed by
+//! `(layer shape, architecture)` — the same type as the abstract search's
+//! memo cache — so long-running embedders (the analysis service's
 //! `/v1/plan` and `/v1/network`) replan a given layer × implementation
-//! once, not per cold request; concurrent identical misses coalesce onto
-//! one sweep. [`plan_cache_stats`], [`set_plan_cache_capacity`] and
+//! once, not per cold request; concurrent identical misses wait for one
+//! sweep. [`plan_cache_stats`], [`set_plan_cache_capacity`] and
 //! [`clear_plan_cache`] expose, bound and reset the cache.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::LazyLock;
 
 use accel_sim::mapping::{map_block, Block};
 use accel_sim::{ArchCacheKey, ArchConfig};
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
 use dataflow::engine::search_ours_with;
-use dataflow::{paper_tiling, FlightMap, LayerTables, LruCache, Tiling};
+use dataflow::{paper_tiling, LayerTables, Memo, Tiling};
 
 /// True when `tiling` satisfies every structural constraint of `arch`.
 #[must_use]
@@ -80,55 +79,27 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
 type PlanResult = Result<Tiling, accel_sim::SimError>;
 
-static PLAN_CACHE: OnceLock<Mutex<LruCache<PlanKey, PlanResult>>> = OnceLock::new();
-static PLAN_FLIGHTS: OnceLock<FlightMap<PlanKey, PlanResult>> = OnceLock::new();
-static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn plan_cache() -> &'static Mutex<LruCache<PlanKey, PlanResult>> {
-    PLAN_CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_PLAN_CACHE_CAPACITY)))
-}
-
-fn plan_flights() -> &'static FlightMap<PlanKey, PlanResult> {
-    PLAN_FLIGHTS.get_or_init(FlightMap::new)
-}
+static PLANS: LazyLock<Memo<PlanKey, PlanResult>> =
+    LazyLock::new(|| Memo::new(DEFAULT_PLAN_CACHE_CAPACITY));
 
 /// Current planner memo-cache statistics — the same [`dataflow::CacheStats`]
 /// shape the tiling-search cache reports, counting plans instead of
 /// searches.
 #[must_use]
 pub fn plan_cache_stats() -> dataflow::CacheStats {
-    let (entries, evictions, capacity) = plan_cache()
-        .lock()
-        .map(|c| (c.len(), c.evictions(), c.capacity()))
-        .unwrap_or((0, 0, 0));
-    dataflow::CacheStats {
-        hits: PLAN_HITS.load(Ordering::Relaxed),
-        misses: PLAN_MISSES.load(Ordering::Relaxed),
-        coalesced: plan_flights().coalesced(),
-        evictions,
-        entries,
-        capacity,
-    }
+    PLANS.stats()
 }
 
 /// Empties the planner memo cache and resets its counters (benchmarks use
 /// this for cold timings). The LRU capacity is kept.
 pub fn clear_plan_cache() {
-    if let Ok(mut c) = plan_cache().lock() {
-        c.clear();
-    }
-    plan_flights().reset_stats();
-    PLAN_HITS.store(0, Ordering::Relaxed);
-    PLAN_MISSES.store(0, Ordering::Relaxed);
+    PLANS.clear();
 }
 
 /// Bounds the planner memo cache to `capacity` entries (clamped to ≥ 1),
 /// evicting least-recently-used entries immediately if it is already over.
 pub fn set_plan_cache_capacity(capacity: usize) {
-    if let Ok(mut c) = plan_cache().lock() {
-        c.set_capacity(capacity);
-    }
+    PLANS.set_capacity(capacity);
 }
 
 /// Chooses the DRAM-minimal tiling of the paper's dataflow that is feasible
@@ -155,21 +126,9 @@ pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, acc
         layer: *layer,
         arch: arch.cache_key(),
     };
-    if let Ok(mut cache) = plan_cache().lock() {
-        if let Some(hit) = cache.get(&key) {
-            PLAN_HITS.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-    }
-    let (result, _coalesced) = plan_flights().run(key, || {
-        PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-        let result = plan_for_arch_uncached(layer, arch);
-        if let Ok(mut cache) = plan_cache().lock() {
-            cache.insert(key, result.clone());
-        }
-        result
-    });
-    result
+    PLANS
+        .get_or_compute(key, || plan_for_arch_uncached(layer, arch), |_| true)
+        .0
 }
 
 /// The actual planning sweep behind [`plan_for_arch`].

@@ -110,17 +110,21 @@ pub fn grid_points<T: Clone>(axes: &[Vec<T>], cap: usize) -> Result<Vec<Vec<T>>,
             cap,
         });
     }
-    let mut points: Vec<Vec<T>> = vec![Vec::new()];
-    for axis in axes {
-        let mut next = Vec::with_capacity(points.len() * axis.len());
-        for point in &points {
-            for value in axis {
-                let mut extended = point.clone();
-                extended.push(value.clone());
-                next.push(extended);
+    // A mixed-radix counter over the axes, last axis fastest: each point is
+    // built once from its digits, with no per-level prefix copies.
+    let len = cardinality as usize; // ≤ cap, checked above
+    let mut digits = vec![0; axes.len()];
+    let mut points = Vec::with_capacity(len);
+    for _ in 0..len {
+        let point = axes.iter().zip(&digits).map(|(axis, &d)| axis[d].clone());
+        points.push(point.collect());
+        for (digit, axis) in digits.iter_mut().zip(axes).rev() {
+            *digit += 1;
+            if *digit < axis.len() {
+                break;
             }
+            *digit = 0;
         }
-        points = next;
     }
     Ok(points)
 }

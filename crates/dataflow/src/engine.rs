@@ -30,12 +30,11 @@
 //!   `(DataflowKind, ConvLayer, memory-words bits)`. VGG/ResNet-style
 //!   networks repeat layer shapes, and the figure benches re-analyze the
 //!   same network at many memory sizes, so across a bench run most searches
-//!   are cache hits. The cache is a bounded [`LruCache`] (default
-//!   [`DEFAULT_SEARCH_CACHE_CAPACITY`], tunable with
+//!   are cache hits. The cache is a process-wide [`Memo`]: an LRU bounded
+//!   to [`DEFAULT_SEARCH_CACHE_CAPACITY`] entries (tunable with
 //!   [`set_search_cache_capacity`]) so long-running servers embedding the
-//!   engine cannot grow it without bound; concurrent identical misses
-//!   coalesce onto one computation through a
-//!   [`FlightMap`](crate::coalesce::FlightMap).
+//!   engine cannot grow it without bound, on which concurrent identical
+//!   misses wait for one computation.
 //!   [`cache_stats`]/[`clear_search_cache`] expose and reset the cache.
 //!
 //! # Determinism and tie-breaking
@@ -50,7 +49,7 @@
 //! dataflow kinds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::LazyLock;
 
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
@@ -59,12 +58,10 @@ use crate::baselines::{
     inr_a_onchip, inr_b_onchip, inr_c_onchip, outr_a_onchip, outr_b_onchip, wtr_a_onchip,
     wtr_b_onchip, BaselineParams,
 };
-use crate::coalesce::FlightMap;
-use crate::lru::LruCache;
 use crate::search::{candidates, dense_candidates, DataflowChoice};
 use crate::tiling::{paper_tiling, summed_input_extent, tile_count, Tiling};
 use crate::traffic::DramTraffic;
-use crate::DataflowKind;
+use crate::{CacheStats, DataflowKind, Memo};
 
 // ---------------------------------------------------------------------------
 // Canonical best tracking (the one helper that replaces the copy-pasted
@@ -299,22 +296,22 @@ impl LayerTables {
         &self.x_cands
     }
 
-    /// The hoisted [`dense_candidates`] grid for the `Ours` output-channel
-    /// sweep.
+    /// The hoisted dense candidate grid (`dense_candidates`) for the `Ours`
+    /// output-channel sweep.
     #[must_use]
     pub fn z_candidates_dense(&self) -> &[usize] {
         &self.z_dense
     }
 
-    /// The hoisted [`dense_candidates`] grid for the `Ours` output-height
-    /// sweep.
+    /// The hoisted dense candidate grid (`dense_candidates`) for the `Ours`
+    /// output-height sweep.
     #[must_use]
     pub fn y_candidates_dense(&self) -> &[usize] {
         &self.y_dense
     }
 
-    /// The hoisted [`dense_candidates`] grid for the `Ours` output-width
-    /// sweep.
+    /// The hoisted dense candidate grid (`dense_candidates`) for the `Ours`
+    /// output-width sweep.
     #[must_use]
     pub fn x_candidates_dense(&self) -> &[usize] {
         &self.x_dense
@@ -718,79 +715,20 @@ struct CacheKey {
 /// so a long-running server embedding the engine cannot grow without bound.
 pub const DEFAULT_SEARCH_CACHE_CAPACITY: usize = 65_536;
 
-static CACHE: OnceLock<Mutex<LruCache<CacheKey, Option<DataflowChoice>>>> = OnceLock::new();
-static FLIGHTS: OnceLock<FlightMap<CacheKey, Option<DataflowChoice>>> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+static SEARCHES: LazyLock<Memo<CacheKey, Option<DataflowChoice>>> =
+    LazyLock::new(|| Memo::new(DEFAULT_SEARCH_CACHE_CAPACITY));
 
-fn cache() -> &'static Mutex<LruCache<CacheKey, Option<DataflowChoice>>> {
-    CACHE.get_or_init(|| Mutex::new(LruCache::new(DEFAULT_SEARCH_CACHE_CAPACITY)))
-}
-
-fn flights() -> &'static FlightMap<CacheKey, Option<DataflowChoice>> {
-    FLIGHTS.get_or_init(FlightMap::new)
-}
-
-/// Search-cache counters (process-wide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Searches answered from the cache.
-    pub hits: u64,
-    /// Searches that ran and populated the cache.
-    pub misses: u64,
-    /// Searches answered by coalescing onto a concurrent identical miss
-    /// (neither a hit nor a computed miss: the caller shared a leader's
-    /// in-flight result).
-    pub coalesced: u64,
-    /// Entries dropped by LRU eviction since the last
-    /// [`clear_search_cache`].
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// The LRU bound ([`set_search_cache_capacity`]).
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; 0 when nothing was looked up.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Current search-cache statistics.
+/// Current search-cache statistics (process-wide).
 #[must_use]
 pub fn cache_stats() -> CacheStats {
-    let (entries, evictions, capacity) = cache()
-        .lock()
-        .map(|c| (c.len(), c.evictions(), c.capacity()))
-        .unwrap_or((0, 0, 0));
-    CacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-        coalesced: flights().coalesced(),
-        evictions,
-        entries,
-        capacity,
-    }
+    SEARCHES.stats()
 }
 
 /// Empties the search cache and resets the hit/miss/coalesced/eviction
 /// counters (used by benchmarks that need cold-cache timings). The LRU
 /// capacity is kept.
 pub fn clear_search_cache() {
-    if let Ok(mut c) = cache().lock() {
-        c.clear();
-    }
-    flights().reset_stats();
-    CACHE_HITS.store(0, Ordering::Relaxed);
-    CACHE_MISSES.store(0, Ordering::Relaxed);
+    SEARCHES.clear();
 }
 
 /// Bounds the memo cache to `capacity` entries (clamped to ≥ 1), evicting
@@ -798,17 +736,15 @@ pub fn clear_search_cache() {
 /// embedders (the analysis service) call this at startup; the default is
 /// [`DEFAULT_SEARCH_CACHE_CAPACITY`].
 pub fn set_search_cache_capacity(capacity: usize) {
-    if let Ok(mut c) = cache().lock() {
-        c.set_capacity(capacity);
-    }
+    SEARCHES.set_capacity(capacity);
 }
 
 /// Memoized, coalescing dispatch: one search per `(kind, layer shape,
-/// memory)` per process. The search itself runs outside the cache lock, so
-/// concurrent callers never serialize on a search; concurrent *identical*
-/// cache misses coalesce onto one computation through a [`FlightMap`], so a
-/// thundering herd of the same query runs the sweep once, not N times. This
-/// is the entry point long-running services should call.
+/// memory)` per process. The search runs outside the memo's lock, so
+/// concurrent callers never serialize on a search, and concurrent
+/// *identical* misses wait for one computation, so a thundering herd of the
+/// same query runs the sweep once, not N times. This is the entry point
+/// long-running services should call.
 #[must_use]
 pub fn search_dataflow(
     kind: DataflowKind,
@@ -820,24 +756,11 @@ pub fn search_dataflow(
         layer: *layer,
         mem_bits: mem.words().to_bits(),
     };
-    if let Ok(mut c) = cache().lock() {
-        if let Some(hit) = c.get(&key) {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return *hit;
-        }
-    }
-    let (result, _coalesced) = flights().run(key, || {
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let result = match kind {
-            DataflowKind::Ours => Some(search_ours(layer, mem)),
-            other => search_baseline(other, layer, mem),
-        };
-        if let Ok(mut c) = cache().lock() {
-            c.insert(key, result);
-        }
-        result
-    });
-    result
+    let search = || match kind {
+        DataflowKind::Ours => Some(search_ours(layer, mem)),
+        other => search_baseline(other, layer, mem),
+    };
+    SEARCHES.get_or_compute(key, search, |_| true).0
 }
 
 /// The paper's "found minimum" oracle: best dataflow × best tiling, all
@@ -1017,6 +940,7 @@ pub mod naive {
 mod tests {
     use super::*;
     use conv_model::workloads;
+    use std::sync::Mutex;
 
     fn layer() -> ConvLayer {
         workloads::vgg16(3).layer(4).unwrap().layer
@@ -1197,7 +1121,7 @@ mod tests {
         // bit-identical answer (the coalescing/caching layers must never
         // change results), and afterwards the entries are resident, so one
         // more call is answered from cache. Sweep-sharing mechanics are
-        // pinned in `coalesce::tests`; global counters are too noisy to
+        // pinned in `memo::tests`; global counters are too noisy to
         // assert exact sharing here (other tests search concurrently).
         let _guard = CACHE_TEST_LOCK.lock().unwrap();
         let l = ConvLayer::square(2, 37, 23, 5, 3, 1).unwrap();

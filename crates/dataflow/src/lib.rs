@@ -8,7 +8,9 @@
 //! * [`baselines`] — the seven comparison dataflows (`OutR-A/B`, `WtR-A/B`,
 //!   `InR-A/B/C`) with exact traffic formulas.
 //! * [`search_dataflow`]/[`found_minimum`] — exhaustive tiling search per
-//!   dataflow and the paper's "found minimum" oracle (Section VI-A).
+//!   dataflow and the paper's "found minimum" oracle (Section VI-A),
+//!   memoized in a [`Memo`]: the bounded, coalescing cache type the
+//!   planner and the analysis service reuse.
 //!
 //! # Example
 //!
@@ -29,22 +31,21 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod baselines;
-pub mod coalesce;
 pub mod dse;
 pub mod engine;
-pub mod lru;
+mod lru;
+mod memo;
 mod nest_counter;
 mod search;
 mod tiling;
 mod traffic;
 
-pub use coalesce::FlightMap;
 pub use dse::{grid_points, GridError};
 pub use engine::{
-    cache_stats, clear_search_cache, set_search_cache_capacity, CacheStats, LayerTables,
+    cache_stats, clear_search_cache, set_search_cache_capacity, LayerTables,
     DEFAULT_SEARCH_CACHE_CAPACITY,
 };
-pub use lru::LruCache;
+pub use memo::{CacheStats, Lookup, Memo};
 pub use nest_counter::count_by_execution;
 pub use search::{
     candidates, found_minimum, plan_tiling, search_baseline, search_dataflow, search_ours,

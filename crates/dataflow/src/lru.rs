@@ -1,10 +1,10 @@
-//! A bounded least-recently-used map, the eviction policy behind the
-//! search-engine memo cache and the service layer's response cache.
+//! A bounded least-recently-used map, the eviction list behind
+//! [`Memo`](crate::Memo).
 //!
 //! The implementation is an intrusive doubly-linked list threaded through a
 //! slot vector, with a [`HashMap`] from key to slot index: `get`, `insert`
 //! and eviction are all `O(1)` (amortized, ignoring hashing). No external
-//! crates, no unsafe — links are plain `usize` indices with [`NIL`] as the
+//! crates, no unsafe — links are plain `usize` indices with `NIL` as the
 //! null sentinel.
 
 use std::collections::HashMap;
@@ -26,7 +26,7 @@ struct Slot<K, V> {
 /// A map bounded to `capacity` entries that evicts the least-recently-used
 /// entry on overflow. Both `get` and `insert` count as a "use".
 #[derive(Debug, Clone)]
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     map: HashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
     /// Most-recently-used slot (NIL when empty).
@@ -58,12 +58,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when no entries are resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// The eviction bound.
@@ -248,7 +242,7 @@ mod tests {
         c.insert("b", 2);
         assert_eq!(c.evictions(), 1);
         c.clear();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.evictions(), 0);
         assert_eq!(c.capacity(), 1);
         c.insert("c", 3);

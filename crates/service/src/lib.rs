@@ -34,13 +34,12 @@
 //!     ▼
 //! request key: route + the body rendered with sorted keys
 //!     │
-//! bounded LRU response cache ── hit ──► reply
-//!     │ miss
-//! FlightMap (in-flight coalescing): concurrent identical queries share
-//! ONE computation
-//!     │
-//! api::dispatch ──► clb pipeline (engine's own LRU-bounded, coalescing
-//! search cache underneath)
+//! response Memo (one lock over a bounded LRU + the computations in
+//!     │ flight) ── hit, or wait for an identical computation ──► reply
+//!     │ miss: this request computes, for itself and every waiter
+//!     ▼
+//! api::dispatch ──► clb pipeline (the planner's and the search engine's
+//! own Memos underneath)
 //! ```
 //!
 //! Connections are persistent by default (HTTP/1.1 keep-alive per

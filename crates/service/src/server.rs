@@ -60,13 +60,12 @@
 //! transport, log fields and latency bucket, and every reply — framed or
 //! chunked — leaves through one `respond`. Analysis `POST` bodies are
 //! parsed once and canonicalized (re-serialized JSON); for a synchronous
-//! request the canonical key goes through the bounded LRU **response
-//! cache**, then the [`FlightMap`] — concurrent identical requests share
-//! one computation — and finally [`api::dispatch`] runs the actual
-//! analysis (which internally hits the engine's own memoized, coalesced
-//! tiling-search cache). Responses over reused connections are
-//! byte-identical to one-shot connections: only the `Connection:` header
-//! differs.
+//! request the canonical key goes through the **response cache**, a
+//! [`Memo`]: a bounded LRU on which concurrent identical requests share
+//! one computation — [`api::dispatch`], which runs the actual analysis
+//! (and internally hits the planner's and search engine's own memos).
+//! Responses over reused connections are byte-identical to one-shot
+//! connections: only the `Connection:` header differs.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
@@ -77,7 +76,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use dataflow::{FlightMap, LruCache};
+use dataflow::{Lookup, Memo};
 use serde::Value;
 
 use crate::api;
@@ -542,7 +541,6 @@ impl LatencyRecorder {
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
-    responses_cached: AtomicU64,
     shed: AtomicU64,
     keepalive_reuses: AtomicU64,
     idle_reaped: AtomicU64,
@@ -553,8 +551,8 @@ struct Counters {
 
 /// Takes a mutex guard even when a panicking handler poisoned the lock.
 ///
-/// The server's shared tables (connections, jobs, the response cache)
-/// hold plain data with no invariant spanning a critical section, so a
+/// The server's shared tables (connections, jobs, the wait room) hold
+/// plain data with no invariant spanning a critical section, so a
 /// poisoned lock carries no corruption — but propagating the
 /// `PoisonError` (the old `.expect(...)` behavior) turned one panicking
 /// request into a cascade that killed every subsequent connection and
@@ -827,8 +825,7 @@ impl JobTable {
 /// connection threads.
 struct ServiceState {
     config: ServiceConfig,
-    flights: FlightMap<String, Arc<Produced>>,
-    response_cache: Mutex<LruCache<String, Arc<Produced>>>,
+    responses: Memo<String, Arc<Produced>>,
     counters: Arc<Counters>,
     latency: LatencyRecorder,
     gate: Arc<Gate>,
@@ -1053,10 +1050,9 @@ impl ServiceState {
             config.threads
         };
         ServiceState {
-            response_cache: Mutex::new(LruCache::new(config.result_cache_capacity)),
+            responses: Memo::new(config.result_cache_capacity),
             gate: Arc::new(Gate::new(permits)),
             config,
-            flights: FlightMap::new(),
             counters: Arc::new(Counters::default()),
             latency: LatencyRecorder::default(),
             jobs: Arc::new(JobTable::default()),
@@ -1082,14 +1078,11 @@ impl ServiceState {
     }
 
     fn service_stats(&self) -> ServiceStats {
-        let (entries, capacity) = {
-            let cache = lock_recover(&self.response_cache, "response cache");
-            (cache.len() as u64, cache.capacity() as u64)
-        };
+        let responses = self.responses.stats();
         ServiceStats {
             requests: self.counters.requests.load(Ordering::Relaxed),
-            responses_cached: self.counters.responses_cached.load(Ordering::Relaxed),
-            coalesced: self.flights.coalesced(),
+            responses_cached: responses.hits,
+            coalesced: responses.coalesced,
             shed: self.counters.shed.load(Ordering::Relaxed),
             connections_open: self.table.len() as u64,
             keepalive_reuses: self.counters.keepalive_reuses.load(Ordering::Relaxed),
@@ -1097,8 +1090,8 @@ impl ServiceState {
             drain_aborted: self.counters.drain_aborted.load(Ordering::Relaxed),
             dse_pruned: self.counters.dse_pruned.load(Ordering::Relaxed),
             dse_jobs: self.counters.dse_jobs.load(Ordering::Relaxed),
-            response_cache_entries: entries,
-            response_cache_capacity: capacity,
+            response_cache_entries: responses.entries as u64,
+            response_cache_capacity: responses.capacity as u64,
         }
     }
 
@@ -1148,12 +1141,12 @@ impl ServiceState {
 
     /// The analysis POST path; the caller holds a gate permit. The body is
     /// parsed once, then one `match` on the stream mode (always sync off
-    /// `/v1/dse`) picks the transport. Sync requests go through the cache:
-    /// the canonical key is the route plus the parsed, key-sorted,
-    /// re-serialized body, so whitespace or key-order differences in client
-    /// JSON cannot split identical queries, and responses travel as
-    /// `Arc<Produced>` — a cache hit clones a pointer inside the lock,
-    /// never a multi-kilobyte body.
+    /// `/v1/dse`) picks the transport. Sync requests go through the
+    /// response memo: the canonical key is the route plus the parsed,
+    /// key-sorted, re-serialized body, so whitespace or key-order
+    /// differences in client JSON cannot split identical queries, and
+    /// responses travel as `Arc<Produced>` — a cache hit clones a pointer
+    /// inside the lock, never a multi-kilobyte body.
     fn post(&self, request: &PendingRequest) -> Reply {
         let route = request.route;
         let parsed: Value = match std::str::from_utf8(&request.body)
@@ -1169,16 +1162,16 @@ impl ServiceState {
             _ => api::StreamMode::Sync,
         };
         match mode {
-            // Job mode never enters the cache or the flight map: an
-            // acceptance must register the job and spawn its sweep thread,
-            // which the pure dispatch cannot do, and idempotency is keyed
-            // on the job id instead of the canonical body.
+            // Job mode never enters the response memo: an acceptance must
+            // register the job and spawn its sweep thread, which the pure
+            // dispatch cannot do, and idempotency is keyed on the job id
+            // instead of the canonical body.
             api::StreamMode::Job => {
                 return Reply::Framed(self.dse_job_response(&parsed), CacheOutcome::Uncached)
             }
-            // Streams bypass the cache and the flight map too: the
-            // transport's value is live progress, and the final body is
-            // reachable cacheably via the synchronous mode anyway.
+            // Streams bypass the memo too: the transport's value is live
+            // progress, and the final body is reachable cacheably via the
+            // synchronous mode anyway.
             api::StreamMode::Chunked => return Reply::Chunked(parsed),
             api::StreamMode::Sync => {}
         }
@@ -1190,25 +1183,7 @@ impl ServiceState {
             }
         };
         let key = format!("{} {canonical}", route.label());
-        if let Some(hit) = lock_recover(&self.response_cache, "response cache").get(&key) {
-            self.counters
-                .responses_cached
-                .fetch_add(1, Ordering::Relaxed);
-            return Reply::Framed(Arc::clone(hit), CacheOutcome::Hit);
-        }
-        // The response cache is bounded by *entry count*, so one oversized
-        // body class (a 256-candidate `/v1/dse` sweep runs to ~0.6 MB;
-        // network-mode sweeps ~30 KB *per candidate*, so whole-model
-        // sweeps beyond a handful of candidates also land here) could
-        // otherwise pin cache_capacity × body_size of memory. Bodies
-        // beyond this bound recompute instead — their expensive part (the
-        // per-arch planning) is already memoized underneath, and identical
-        // concurrent requests still coalesce.
-        const MAX_CACHEABLE_BODY_BYTES: usize = 128 * 1024;
-        // The leader populates the cache *inside* the flight, before it
-        // retires: once a key has been computed, later requests always find
-        // either the in-flight computation or the cached response.
-        let (produced, coalesced) = self.flights.run(key.clone(), || {
+        let compute = || {
             let (response, dse) = api::dispatch_with_meta(route.label(), &parsed);
             // The prune counter observes each sweep once, here at compute
             // time — cache hits and coalesced followers reuse the result
@@ -1222,19 +1197,26 @@ impl ServiceState {
                 }
                 None => route.log_tail(Some(&parsed)),
             };
-            let produced = Produced::new(response, tail);
-            if produced.response.status == 200
+            Produced::new(response, tail)
+        };
+        // The response cache is bounded by *entry count*, so one oversized
+        // body class (a 256-candidate `/v1/dse` sweep runs to ~0.6 MB;
+        // network-mode sweeps ~30 KB *per candidate*, so whole-model
+        // sweeps beyond a handful of candidates also land here) could
+        // otherwise pin cache_capacity × body_size of memory. Bodies
+        // beyond this bound recompute instead — their expensive part (the
+        // per-arch planning) is already memoized underneath, and identical
+        // concurrent requests still coalesce.
+        const MAX_CACHEABLE_BODY_BYTES: usize = 128 * 1024;
+        let keep = |produced: &Arc<Produced>| {
+            produced.response.status == 200
                 && produced.response.body.len() <= MAX_CACHEABLE_BODY_BYTES
-            {
-                lock_recover(&self.response_cache, "response cache")
-                    .insert(key.clone(), Arc::clone(&produced));
-            }
-            produced
-        });
-        let outcome = if coalesced {
-            CacheOutcome::Coalesced
-        } else {
-            CacheOutcome::Miss
+        };
+        let (produced, lookup) = self.responses.get_or_compute(key, compute, keep);
+        let outcome = match lookup {
+            Lookup::Hit => CacheOutcome::Hit,
+            Lookup::Miss => CacheOutcome::Miss,
+            Lookup::Coalesced => CacheOutcome::Coalesced,
         };
         Reply::Framed(produced, outcome)
     }

@@ -278,7 +278,7 @@ pub mod prop {
     pub mod collection {
         use crate::{Strategy, TestRng};
 
-        /// Length distributions accepted by [`vec`].
+        /// Length distributions accepted by [`vec()`].
         pub trait SampleLen {
             /// Draws a length.
             fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -308,7 +308,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S, L> {
             element: S,

@@ -7,7 +7,6 @@
 //! * [`ThreadPoolBuilder`]/[`current_num_threads`] — a global thread-count
 //!   knob (there is no persistent pool; threads are scoped per call, which
 //!   is fine for the engine's coarse-grained, compute-bound tasks);
-//! * [`join`] — run two closures in parallel;
 //! * [`par_map`] — order-preserving parallel map over a slice with atomic
 //!   work stealing, so unevenly sized work items (pruned search subtrees)
 //!   balance across threads.
@@ -122,24 +121,6 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Runs both closures, potentially in parallel, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        (handle.join().expect("joined closure panicked"), rb)
-    })
-}
-
 /// Order-preserving parallel map over a slice.
 ///
 /// Work items are claimed one at a time from an atomic counter, so threads
@@ -213,13 +194,6 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let doubled = par_map(&items, |x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]

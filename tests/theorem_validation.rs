@@ -5,6 +5,8 @@
 use clb::bound::OnChipMemory;
 use clb::model::{ConvLayer, Padding};
 use clb::pebble;
+use clb::sim::ArchConfig;
+use proptest::prelude::*;
 
 fn small_layer() -> ConvLayer {
     ConvLayer::builder()
@@ -74,6 +76,64 @@ fn theorem2_pebble_bound_below_measured_schedule() {
         assert!(
             q_bound <= measured,
             "S={s_words}: pebble bound {q_bound} exceeds measured {measured}"
+        );
+    }
+}
+
+/// Layers big enough that Theorem 2's bound is nonzero at the Table I
+/// implementations' on-chip sizes, small enough to plan quickly.
+fn bounded_layers() -> impl Strategy<Value = ConvLayer> {
+    (
+        1usize..=2,
+        16usize..=160,
+        8usize..=40,
+        16usize..=160,
+        1usize..=5,
+        1usize..=2,
+        prop::bool::ANY,
+    )
+        .prop_filter_map("kernel must fit", |(b, co, size, ci, k, s, same)| {
+            let padding = if same {
+                Padding::same(k)
+            } else {
+                Padding::none()
+            };
+            ConvLayer::builder()
+                .batch(b)
+                .out_channels(co)
+                .in_channels(ci)
+                .input(size, size)
+                .kernel(k, k)
+                .stride(s)
+                .padding(padding)
+                .build()
+                .ok()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Theorem 2 against the strongest oracle in the tree: the DRAM words
+    /// the simulator counts for the planned tiling on a Table I
+    /// implementation never fall below the pebble-game bound at that
+    /// implementation's effective on-chip words. Cases where the bound is
+    /// zero prove nothing and are not counted.
+    #[test]
+    fn simulated_dram_of_planned_tilings_never_beats_theorem2(
+        layer in bounded_layers(),
+        implem in 1usize..=5,
+    ) {
+        let arch = ArchConfig::implementation(implem);
+        let bound = pebble::theorem2_q_lower(&layer, arch.effective_onchip_words() as u64);
+        prop_assume!(bound > 0);
+        let tiling = clb::core::plan_for_arch(&layer, &arch);
+        prop_assume!(tiling.is_ok());
+        let stats = clb::sim::simulate(&layer, &tiling.unwrap(), &arch).unwrap();
+        let simulated = stats.dram.total_words();
+        prop_assert!(
+            bound <= simulated,
+            "implementation {implem}, {layer:?}: bound {bound} > simulated {simulated}"
         );
     }
 }
