@@ -5,7 +5,9 @@
 //!   request that finds every permit busy is shelved in the server's wait
 //!   room, or shed with `503 + Retry-After` when that is full); background
 //!   DSE job threads, capped in number by the server, block in
-//!   [`Gate::acquire`].
+//!   [`Gate::acquire`]. Every permit holds one slot of the process-wide
+//!   compute budget that the `rayon` pool's helpers also draw on, so
+//!   admitted requests and fan-out share one budget of compute threads.
 //! * [`WaitGroup`] — deadline-aware completion tracking for graceful
 //!   drain: every connection holds a guard, shutdown waits for all guards
 //!   with a hard deadline and aborts stragglers past it.
@@ -123,10 +125,22 @@ pub struct Gate {
 }
 
 /// An acquired [`Gate`] permit; dropping it releases the slot and wakes one
-/// waiter.
+/// waiter. While it lives, its request holds one slot of the compute
+/// budget, so the pool's helpers fan out only into the slots no admitted
+/// request holds.
 #[derive(Debug)]
 pub struct GatePermit<'a> {
     gate: &'a Gate,
+    _slot: rayon::ComputeSlot,
+}
+
+impl<'a> GatePermit<'a> {
+    fn new(gate: &'a Gate) -> Self {
+        GatePermit {
+            gate,
+            _slot: rayon::ComputeSlot::hold(),
+        }
+    }
 }
 
 impl Drop for GatePermit<'_> {
@@ -172,7 +186,7 @@ impl Gate {
             return None;
         }
         *available -= 1;
-        Some(GatePermit { gate: self })
+        Some(GatePermit::new(self))
     }
 
     /// Takes a permit, blocking until one is released if every permit is
@@ -187,7 +201,7 @@ impl Gate {
                 .expect("gate lock poisoned while waiting");
         }
         *available -= 1;
-        GatePermit { gate: self }
+        GatePermit::new(self)
     }
 }
 

@@ -105,7 +105,10 @@ pub struct ServiceConfig {
     /// Bind port; 0 asks the OS for an ephemeral port.
     pub port: u16,
     /// Concurrent analysis computations (the [`Gate`] permit count);
-    /// 0 means one per available CPU.
+    /// 0 means one per available CPU. Each permit holds one slot of the
+    /// process-wide compute budget of `rayon::current_num_threads()`
+    /// slots, whose pool helpers fan a request out only into free slots;
+    /// `clb serve --threads N` sets both to N.
     pub threads: usize,
     /// I/O worker threads of the event tier — the threads that parse,
     /// route and answer requests on *ready* sockets (idle sockets are

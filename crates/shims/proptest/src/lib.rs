@@ -5,10 +5,17 @@
 //! `prop::bool::ANY` and `prop::collection::vec` strategies plus the
 //! `prop_filter_map` combinator; this shim implements exactly that surface.
 //! Each generated test runs `ProptestConfig::cases` samples from an RNG
-//! seeded by the test's name, so failures reproduce across runs. On failure
-//! the panic reports the assertion like a plain `assert!`; there is no
-//! shrinking, so the failing inputs are whatever the sample produced (print
-//! them from the test body if needed).
+//! seeded by the test's name and the run seed, so failures reproduce across
+//! runs. Two environment variables widen the exploration:
+//!
+//! * `PROPTEST_SEED=<u64>` — the run seed (default 0, which draws the
+//!   name-seeded samples every earlier run drew);
+//! * `PROPTEST_CASES=<u32>` — replaces every block's configured case count.
+//!
+//! On failure the panic reports the assertion like a plain `assert!`, and
+//! the test prints its name, the failing case and the seed that replays
+//! it; there is no shrinking, so the failing inputs are whatever the
+//! sample produced (print them from the test body if needed).
 
 #![deny(missing_docs)]
 
@@ -40,6 +47,72 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
+
+    /// This configuration with `PROPTEST_CASES`, when set, as its case
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// When `PROPTEST_CASES` is set but not a `u32`.
+    #[must_use]
+    pub fn with_env_overrides(self) -> Self {
+        match env_number("PROPTEST_CASES") {
+            Some(cases) => ProptestConfig { cases },
+            None => self,
+        }
+    }
+}
+
+/// The run seed: `PROPTEST_SEED`, or 0 when it is unset.
+///
+/// # Panics
+///
+/// When `PROPTEST_SEED` is set but not a `u64`.
+#[must_use]
+pub fn run_seed() -> u64 {
+    env_number("PROPTEST_SEED").unwrap_or(0)
+}
+
+fn env_number<N: std::str::FromStr>(name: &str) -> Option<N> {
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().parse() {
+        Ok(n) => Some(n),
+        Err(_) => panic!("{name}={raw:?} is not a valid number"),
+    }
+}
+
+/// Prints, when its test panics, which case failed and the `PROPTEST_SEED`
+/// that replays it. A `proptest!` test holds one for its whole run.
+#[derive(Debug)]
+pub struct FailureReport {
+    name: &'static str,
+    seed: u64,
+    /// The case being run, counted from 0 over accepted and rejected
+    /// samples alike.
+    pub case: u32,
+}
+
+impl FailureReport {
+    /// A report for test `name` run under `seed`.
+    #[must_use]
+    pub fn new(name: &'static str, seed: u64) -> Self {
+        FailureReport {
+            name,
+            seed,
+            case: 0,
+        }
+    }
+}
+
+impl Drop for FailureReport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: `{}` failed on sample {}; replay it with PROPTEST_SEED={}",
+                self.name, self.case, self.seed
+            );
+        }
+    }
 }
 
 /// Marker returned through `?`/`return` by [`prop_assume!`] to reject a
@@ -58,12 +131,21 @@ impl TestRng {
     /// given test draws the same sample sequence.
     #[must_use]
     pub fn from_name(name: &str) -> Self {
+        TestRng::for_test(name, 0)
+    }
+
+    /// Seeds the RNG from a test name and a run seed; seed 0 draws exactly
+    /// the [`from_name`](Self::from_name) sequence.
+    #[must_use]
+    pub fn for_test(name: &str, seed: u64) -> Self {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in name.bytes() {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        TestRng { state: hash | 1 }
+        TestRng {
+            state: (hash ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
+        }
     }
 
     /// Next raw 64-bit value.
@@ -385,11 +467,15 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
-                let mut rng = $crate::TestRng::from_name(stringify!($name));
+                let config = config.with_env_overrides();
+                let seed = $crate::run_seed();
+                let mut rng = $crate::TestRng::for_test(stringify!($name), seed);
+                let mut report = $crate::FailureReport::new(stringify!($name), seed);
                 let mut accepted: u32 = 0;
                 let mut attempts: u32 = 0;
                 let max_attempts = config.cases.saturating_mul(100).max(1000);
                 while accepted < config.cases {
+                    report.case = attempts;
                     attempts += 1;
                     assert!(
                         attempts <= max_attempts,
@@ -432,6 +518,19 @@ mod tests {
         let mut a = TestRng::from_name("x");
         let mut b = TestRng::from_name("x");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn run_seed_zero_replays_the_name_seed_and_others_differ() {
+        let draw = |mut rng: TestRng| (0..4).map(|_| rng.next_u64()).collect::<Vec<_>>();
+        assert_eq!(
+            draw(TestRng::for_test("x", 0)),
+            draw(TestRng::from_name("x"))
+        );
+        assert_ne!(
+            draw(TestRng::for_test("x", 1)),
+            draw(TestRng::from_name("x"))
+        );
     }
 
     proptest! {

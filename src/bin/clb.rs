@@ -568,7 +568,8 @@ fn usage() -> &'static str {
      \n\
      global flags:\n\
      --json true        print the route's exact JSON body instead of the table\n\
-     --threads N        worker threads (search engine; serve: compute permits; 0 = auto)\n\
+     --threads N        one budget of N compute threads: gate permits plus pool\n\
+     \\                  (serve: N concurrent requests; 0 = one per CPU)\n\
      --cache-stats true print search-cache hits/misses after the command\n\
      --arch '<json>'    full custom architecture (any verb that takes --implem;\n\
      \\                  bound/sweep derive the memory size from it; dse uses it\n\
