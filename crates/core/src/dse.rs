@@ -28,13 +28,13 @@
 //! per-candidate oracle loop. The dedup, the sort key and the entry shape
 //! are shared between the two modes, so they cannot drift.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use accel_sim::{ArchCacheKey, ArchConfig, SimError};
 use comm_bound::filter::FloorCache;
 use conv_model::workloads::{NamedLayer, Network};
 use conv_model::ConvLayer;
-use energy_model::table;
+use energy_model::{reg_access_pj, table, EnergyParams};
 
 use crate::accelerator::Accelerator;
 use crate::report::{LayerReport, NetworkReport};
@@ -295,18 +295,25 @@ pub fn objective_key<R: SweepCost>(
     entry: &ArchSweepEntry<R>,
     objective: Objective,
 ) -> (u8, u64, u64, u64, ArchCacheKey) {
-    let key = entry.arch.cache_key();
-    match &entry.outcome {
-        Ok(r) => {
-            let c = r.sweep_cycles();
-            let d = r.sweep_dram_words();
-            match objective {
-                Objective::Cycles | Objective::Pareto => (0, c, d, 0, key),
-                Objective::Traffic => (0, d, c, 0, key),
-                Objective::Energy => (0, energy_bits(r.sweep_energy_pj()), c, d, key),
-            }
-        }
-        Err(_) => (1, 0, 0, 0, key),
+    key_of(objective, cost_triple(entry), entry.arch.cache_key())
+}
+
+/// The one layout of [`objective_key`], over a `(cycles, DRAM words,
+/// energy bits)` triple (`None` for an infeasible candidate) — shared by
+/// actual costs and by their floors ([`CandidateBound::floor_key`]), so a
+/// floor key orders exactly like the key it bounds.
+fn key_of(
+    objective: Objective,
+    costs: Option<(u64, u64, u64)>,
+    key: ArchCacheKey,
+) -> (u8, u64, u64, u64, ArchCacheKey) {
+    match costs {
+        Some((c, d, e)) => match objective {
+            Objective::Cycles | Objective::Pareto => (0, c, d, 0, key),
+            Objective::Traffic => (0, d, c, 0, key),
+            Objective::Energy => (0, e, c, d, key),
+        },
+        None => (1, 0, 0, 0, key),
     }
 }
 
@@ -362,8 +369,13 @@ pub fn rank_entries<R: SweepCost>(
 /// bound stage to discard candidates before planning them.
 ///
 /// Every field under-states (never over-states) what the candidate would
-/// actually score, so discarding on a *strict* comparison against an
-/// already-evaluated entry is lossless.
+/// actually score. So does every key built from them: the floor of the
+/// objective's whole key ([`CandidateBound::floor_key`]) is lexicographically
+/// ≤ the candidate's [`objective_key`], because each cost component is a
+/// floor and the architecture key is exact; and the floor triple is ≤ the
+/// actual `(cycles, DRAM words, energy)` triple componentwise. Discarding a
+/// candidate whose floor key is *strictly* above the worst kept key, or
+/// whose floor triple some kept triple dominates, is therefore lossless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateBound {
     /// Floor on total cycles (compute floor vs. transfer floor, per layer).
@@ -387,6 +399,24 @@ impl CandidateBound {
             provably_infeasible: true,
         }
     }
+
+    /// The floor of [`objective_key`] for the candidate whose
+    /// [`ArchConfig::cache_key`] is `key`: the same layout over the floors.
+    /// A provably infeasible candidate gets its exact key (infeasible, then
+    /// the architecture key).
+    #[must_use]
+    pub fn floor_key(
+        &self,
+        objective: Objective,
+        key: ArchCacheKey,
+    ) -> (u8, u64, u64, u64, ArchCacheKey) {
+        let floors = (self.cycles_lb, self.dram_lb, self.energy_lb_bits);
+        key_of(
+            objective,
+            (!self.provably_infeasible).then_some(floors),
+            key,
+        )
+    }
 }
 
 /// Computes the admissible [`CandidateBound`] of every candidate for a
@@ -394,14 +424,26 @@ impl CandidateBound {
 /// geometry cost a hash lookup each.
 ///
 /// The floors compose the structural DRAM floor
-/// ([`comm_bound::filter::LayerFloor`]) with two simulator identities: a
+/// ([`comm_bound::filter::LayerFloor`]) with simulator identities. A
 /// layer's cycles are at least `⌈MACs / PEs⌉` (compute) and at least
-/// `reads / link words-per-cycle + DRAM latency` (transfer), and its energy
-/// is at least `DRAM words · DRAM pJ + MACs · MAC pJ` (the two dominant
-/// components of the energy model, both with exact per-unit costs).
+/// `reads / link words-per-cycle + DRAM latency` (transfer). Its energy,
+/// under the default [`EnergyParams`] every sweep evaluates with, is at
+/// least the paper's Fig. 18 "theoretical best" bar at this design's
+/// LReg size, plus the LReg leakage over the cycles floor:
+///
+/// `DRAM floor · DRAM pJ + (1 + other) · MACs · (MAC pJ + LReg access pJ)
+/// + cycles floor · LReg bytes · static pJ/byte/cycle`.
+///
+/// Each term bounds a part of the energy model: MAC energy counts issued
+/// slots and LReg dynamic energy counts LReg writes, both `≥ MACs`;
+/// leakage runs over total cycles `≥` the cycles floor; and "others"
+/// scales a superset of the MAC and LReg parts. The LReg access energy is
+/// interpolated once per distinct LReg size.
 #[must_use]
 pub fn candidate_bounds(layers: &[ConvLayer], candidates: &[ArchConfig]) -> Vec<CandidateBound> {
     let mut cache = FloorCache::new(layers);
+    let mut lreg_access_pj: BTreeMap<usize, f64> = BTreeMap::new();
+    let params = EnergyParams::default();
     let macs: Vec<u64> = layers.iter().map(ConvLayer::macs).collect();
     let total_macs = macs.iter().fold(0u64, |a, &m| a.saturating_add(m));
     candidates
@@ -430,8 +472,16 @@ pub fn candidate_bounds(layers: &[ConvLayer], candidates: &[ArchConfig]) -> Vec<
                     cycles_lb.saturating_add(compute_lb.max(transfer_lb.saturating_add(latency)));
                 dram_lb = dram_lb.saturating_add(f.total_words);
             }
-            let energy_lb =
-                (dram_lb as f64 * table::DRAM_PJ + total_macs as f64 * table::MAC_PJ) * FLOAT_SLACK;
+            let lreg_bytes = arch.lreg_bytes_per_pe();
+            let lreg_pj = *lreg_access_pj
+                .entry(lreg_bytes)
+                .or_insert_with(|| reg_access_pj(lreg_bytes as f64));
+            let energy_lb = (dram_lb as f64 * table::DRAM_PJ
+                + (1.0 + params.other_fraction) * total_macs as f64 * (table::MAC_PJ + lreg_pj)
+                + cycles_lb as f64
+                    * (arch.lreg_total_entries() * 2) as f64
+                    * params.reg_static_pj_per_byte_cycle)
+                * FLOAT_SLACK;
             CandidateBound {
                 cycles_lb,
                 dram_lb,
@@ -440,28 +490,6 @@ pub fn candidate_bounds(layers: &[ConvLayer], candidates: &[ArchConfig]) -> Vec<
             }
         })
         .collect()
-}
-
-impl CandidateBound {
-    /// The bound on the objective's primary cost.
-    fn primary_lb(&self, objective: Objective) -> u64 {
-        match objective {
-            Objective::Cycles | Objective::Pareto => self.cycles_lb,
-            Objective::Traffic => self.dram_lb,
-            Objective::Energy => self.energy_lb_bits,
-        }
-    }
-
-    /// Deterministic processing order: cheapest bound first (most likely to
-    /// anchor the frontier early), provably-infeasible candidates last.
-    fn order_key(&self, objective: Objective) -> (u8, u64, u64, u64) {
-        (
-            u8::from(self.provably_infeasible),
-            self.primary_lb(objective),
-            self.cycles_lb,
-            self.dram_lb,
-        )
-    }
 }
 
 /// A frontier snapshot handed to the progress callback after every chunk
@@ -490,10 +518,16 @@ pub struct StagedOutcome<R> {
     pub evaluated: u64,
 }
 
-/// Candidates per evaluation chunk: large enough to keep the thread pool
-/// fed by [`sweep_archs`], small enough that the frontier tightens (and
-/// prunes more) many times across a big sweep.
+/// The largest evaluation chunk: large enough to keep the thread pool fed
+/// by [`sweep_archs`], small enough that the frontier tightens (and prunes
+/// more) many times across a big sweep. Chunks grow geometrically from
+/// [`FIRST_STAGE_CHUNK`] to this size, so the frontier anchors on a few
+/// cheapest-floor candidates before any large batch is planned.
 const STAGE_CHUNK: usize = 512;
+
+/// The first evaluation chunk; each later one doubles, up to
+/// [`STAGE_CHUNK`].
+const FIRST_STAGE_CHUNK: usize = 8;
 
 /// The incremental kept set. Scalar objectives hold at most `top_k` entries
 /// sorted by [`objective_key`]; `Pareto` holds the full non-dominated set
@@ -513,41 +547,37 @@ impl<R: SweepCost> Frontier<R> {
         }
     }
 
-    /// Whether `bound` proves the candidate cannot enter the final kept
-    /// set. Lossless by admissibility: every comparison is strict, against
-    /// costs the candidate provably cannot beat.
-    fn can_prune(&self, bound: &CandidateBound) -> bool {
+    /// Whether `bound` proves the candidate (whose
+    /// [`ArchConfig::cache_key`] is `key`) cannot enter the final kept set.
+    /// Lossless by admissibility, and the verdict survives later frontier
+    /// evolution:
+    ///
+    /// * a scalar objective at capacity discards a candidate whose floor
+    ///   key is strictly above the worst kept [`objective_key`] — its true
+    ///   key is at least its floor key, and the worst kept key only falls;
+    /// * `Pareto` discards an infeasible candidate (never on a frontier)
+    ///   and a candidate whose floor triple some kept triple dominates —
+    ///   that triple then dominates its true costs too, and dominance is
+    ///   transitive.
+    fn can_prune(&self, bound: &CandidateBound, key: ArchCacheKey) -> bool {
         if self.top_k == 0 {
             return true;
         }
         match self.objective {
             Objective::Pareto => {
-                // An infeasible candidate is never on a Pareto frontier; a
-                // feasible one is excluded only if some kept entry beats its
-                // floors strictly on every cost (dominance is transitive, so
-                // the verdict survives later frontier evolution).
-                if bound.provably_infeasible {
-                    return true;
-                }
-                let b = (bound.cycles_lb, bound.dram_lb, bound.energy_lb_bits);
-                self.entries
-                    .iter()
-                    .filter_map(cost_triple)
-                    .any(|t| t.0 < b.0 && t.1 < b.1 && t.2 < b.2)
+                let floors = (bound.cycles_lb, bound.dram_lb, bound.energy_lb_bits);
+                bound.provably_infeasible
+                    || self
+                        .entries
+                        .iter()
+                        .filter_map(cost_triple)
+                        .any(|kept| dominates(kept, floors))
             }
             objective => {
-                if self.entries.len() < self.top_k {
-                    return false;
-                }
-                let worst = self.entries.last().expect("non-empty at capacity");
-                let worst_key = objective_key(worst, objective);
-                if worst_key.0 != 0 {
-                    // The worst kept entry is infeasible: any candidate
-                    // (even a provably-infeasible one, which would rank by
-                    // architecture key) could still displace it.
-                    return false;
-                }
-                bound.provably_infeasible || bound.primary_lb(objective) > worst_key.1
+                self.entries.len() == self.top_k
+                    && self.entries.last().is_some_and(|worst| {
+                        bound.floor_key(objective, key) > objective_key(worst, objective)
+                    })
             }
         }
     }
@@ -607,7 +637,9 @@ impl<R: SweepCost> Frontier<R> {
 }
 
 /// The staged funnel shared by both sweep modes: order candidates by their
-/// bound, prune against the frontier, evaluate survivors in chunks through
+/// floor key (cheapest floor first, most likely to anchor the frontier
+/// early; provably infeasible candidates last), prune against the
+/// frontier, evaluate survivors in geometrically growing chunks through
 /// `eval` (which fans across threads), and merge serially — so the pruned
 /// count and every frontier snapshot are deterministic for a given
 /// candidate set, independent of thread scheduling.
@@ -620,17 +652,23 @@ fn staged_engine<R: SweepCost>(
     mut progress: impl FnMut(StagedProgress<'_, R>),
 ) -> StagedOutcome<R> {
     debug_assert_eq!(unique.len(), bounds.len());
+    let keys: Vec<ArchCacheKey> = unique.iter().map(ArchConfig::cache_key).collect();
     let mut order: Vec<usize> = (0..unique.len()).collect();
-    order.sort_by_key(|&i| (bounds[i].order_key(objective), unique[i].cache_key()));
+    order.sort_by_key(|&i| bounds[i].floor_key(objective, keys[i]));
 
     let mut frontier = Frontier::new(objective, top_k);
     let mut pruned = 0u64;
     let mut evaluated = 0u64;
     let mut processed = 0usize;
-    for chunk in order.chunks(STAGE_CHUNK) {
+    let mut rest = &order[..];
+    let mut chunk_len = FIRST_STAGE_CHUNK;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(chunk_len.min(rest.len()));
+        rest = tail;
+        chunk_len = (chunk_len * 2).min(STAGE_CHUNK);
         let mut survivors = Vec::with_capacity(chunk.len());
         for &i in chunk {
-            if frontier.can_prune(&bounds[i]) {
+            if frontier.can_prune(&bounds[i], keys[i]) {
                 pruned += 1;
             } else {
                 survivors.push(i);
@@ -644,9 +682,7 @@ fn staged_engine<R: SweepCost>(
             .collect();
         let mut changed = false;
         for &i in &survivors {
-            let entry = by_key
-                .remove(&unique[i].cache_key())
-                .expect("one result per survivor");
+            let entry = by_key.remove(&keys[i]).expect("one result per survivor");
             changed |= frontier.insert(entry);
         }
         processed += chunk.len();

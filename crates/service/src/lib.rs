@@ -299,5 +299,5 @@ pub use pool::{BoundedQueue, Gate, WaitGroup};
 pub use server::{
     format_request_log, CacheOutcome, CacheStatsResponse, LogSink, LogTail, MemoCacheStats,
     RouteLatencyStats, RunningServer, Server, ServiceConfig, ServiceStats, StatsHandle, StopHandle,
-    LATENCY_ROUTES, RETRY_AFTER_SECS,
+    LATENCY_ROUTES, MAX_THREADS, RETRY_AFTER_SECS,
 };

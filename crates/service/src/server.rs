@@ -94,6 +94,13 @@ pub type LogSink = Arc<dyn Fn(&str) + Send + Sync>;
 /// the honest hint.
 pub const RETRY_AFTER_SECS: u32 = 1;
 
+/// The largest [`ServiceConfig::threads`] and [`ServiceConfig::io_workers`]
+/// that `clb serve` accepts. Each counts operating-system threads: the
+/// I/O workers start with the server, and `threads − 1` compute-pool
+/// helpers start on the first fan-out, so an unbounded value would start
+/// that many threads.
+pub const MAX_THREADS: usize = 1024;
+
 /// Server configuration. `Default` gives a localhost server on an
 /// OS-assigned port with auto-sized workers — every field has a sensible
 /// production value except `port`, which tests leave at 0 (ephemeral) and
@@ -108,13 +115,15 @@ pub struct ServiceConfig {
     /// 0 means one per available CPU. Each permit holds one slot of the
     /// process-wide compute budget of `rayon::current_num_threads()`
     /// slots, whose pool helpers fan a request out only into free slots;
-    /// `clb serve --threads N` sets both to N.
+    /// `clb serve --threads N` sets both to N, and refuses N above
+    /// [`MAX_THREADS`].
     pub threads: usize,
     /// I/O worker threads of the event tier — the threads that parse,
     /// route and answer requests on *ready* sockets (idle sockets are
     /// parked on the poller and cost no thread). 0 (the default) sizes
     /// the pool to the compute permit count plus headroom for socket
-    /// I/O that blocks outside the [`Gate`]. Clamped to ≥ 1.
+    /// I/O that blocks outside the [`Gate`]. Clamped to ≥ 1. `clb serve
+    /// --io-workers N` refuses N above [`MAX_THREADS`].
     pub io_workers: usize,
     /// Bound on the wait room of shelved analysis requests — framed
     /// requests that found every `threads` permit busy (overflow is shed

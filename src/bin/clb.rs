@@ -488,17 +488,49 @@ const SERVE_FLAGS: &str = "port threads cache-stats io-workers queue result-cach
                            keepalive-requests keepalive-idle-ms max-connections drain-ms \
                            allow-shutdown log search-cache";
 
+/// A thread-count flag (`--threads`, `--io-workers`): 0 (auto) up to
+/// [`clb_service::MAX_THREADS`], refused by name above it.
+fn thread_count(flags: &Flags, key: &str) -> Result<usize, String> {
+    let n: usize = get(flags, key, 0)?;
+    if n > clb_service::MAX_THREADS {
+        return Err(format!(
+            "--{key} {n} exceeds the cap of {} threads",
+            clb_service::MAX_THREADS
+        ));
+    }
+    Ok(n)
+}
+
 fn cmd_serve(flags: &Flags) -> Result<String, String> {
+    let config = serve_config(flags)?;
+    let search_cache: usize = get(
+        flags,
+        "search-cache",
+        dataflow::DEFAULT_SEARCH_CACHE_CAPACITY,
+    )?;
+    dataflow::set_search_cache_capacity(search_cache);
+    let server = clb_service::Server::bind(config).map_err(|e| e.to_string())?;
+    eprintln!(
+        "clb-service listening on http://{} (try GET /healthz)",
+        server.local_addr().map_err(|e| e.to_string())?
+    );
+    server.run().map_err(|e| e.to_string())?;
+    Ok(String::new())
+}
+
+/// `clb serve`'s flags as a [`clb_service::ServiceConfig`], every value
+/// checked before anything binds or starts.
+fn serve_config(flags: &Flags) -> Result<clb_service::ServiceConfig, String> {
     let known = |flag: &&String| SERVE_FLAGS.split_whitespace().any(|k| k == flag.as_str());
     if let Some(flag) = flags.keys().filter(|f| !known(f)).min() {
         return Err(format!("unknown flag --{flag} for clb serve"));
     }
     let mut config = clb_service::ServiceConfig {
         port: get(flags, "port", 8080)?,
-        threads: get(flags, "threads", 0)?,
+        threads: thread_count(flags, "threads")?,
+        io_workers: thread_count(flags, "io-workers")?,
         ..Default::default()
     };
-    config.io_workers = get(flags, "io-workers", config.io_workers)?;
     config.queue_capacity = get(flags, "queue", config.queue_capacity)?;
     config.result_cache_capacity = get(flags, "result-cache", config.result_cache_capacity)?;
     config.max_body_bytes = get(flags, "max-body", config.max_body_bytes)?;
@@ -522,19 +554,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, String> {
     if get(flags, "log", false)? {
         config.log = Some(std::sync::Arc::new(|line: &str| eprintln!("{line}")));
     }
-    let search_cache: usize = get(
-        flags,
-        "search-cache",
-        dataflow::DEFAULT_SEARCH_CACHE_CAPACITY,
-    )?;
-    dataflow::set_search_cache_capacity(search_cache);
-    let server = clb_service::Server::bind(config).map_err(|e| e.to_string())?;
-    eprintln!(
-        "clb-service listening on http://{} (try GET /healthz)",
-        server.local_addr().map_err(|e| e.to_string())?
-    );
-    server.run().map_err(|e| e.to_string())?;
-    Ok(String::new())
+    Ok(config)
 }
 
 fn usage() -> &'static str {
@@ -561,7 +581,8 @@ fn usage() -> &'static str {
      \\            [--result-cache 1024] [--search-cache 65536] [--max-body 1048576]\n\
      \\            [--keepalive-requests 128] [--keepalive-idle-ms 5000]\n\
      \\            [--max-connections 1024] [--drain-ms 5000] [--allow-shutdown true]\n\
-     \\            [--log true]   (--io-workers: HTTP I/O worker threads; 0 = auto)\n\
+     \\            [--log true]   (--io-workers: HTTP I/O worker threads; 0 = auto;\n\
+     \\            at most 1024, as for --threads)\n\
      \n\
      Each analysis verb sends its flags as the body of POST /v1/<verb> through the\n\
      service's parser (docs/API.md, CLI mirror): same caps, same errors.\n\
@@ -569,7 +590,8 @@ fn usage() -> &'static str {
      global flags:\n\
      --json true        print the route's exact JSON body instead of the table\n\
      --threads N        one budget of N compute threads: gate permits plus pool\n\
-     \\                  (serve: N concurrent requests; 0 = one per CPU)\n\
+     \\                  (serve: N concurrent requests; 0 = one per CPU;\n\
+     \\                  at most 1024)\n\
      --cache-stats true print search-cache hits/misses after the command\n\
      --arch '<json>'    full custom architecture (any verb that takes --implem;\n\
      \\                  bound/sweep derive the memory size from it; dse uses it\n\
@@ -583,7 +605,7 @@ fn usage() -> &'static str {
 /// Applies the global engine flags (`--threads`, `--cache-stats`); returns
 /// whether cache statistics were requested.
 fn apply_engine_flags(flags: &Flags) -> Result<bool, String> {
-    let threads: usize = get(flags, "threads", 0)?;
+    let threads = thread_count(flags, "threads")?;
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build_global()
@@ -1042,9 +1064,28 @@ mod tests {
         assert!(apply_engine_flags(&flags(&[("cache-stats", "yes")])).is_err());
         assert!(apply_engine_flags(&flags(&[("threads", "2")])).is_ok());
         assert!(apply_engine_flags(&flags(&[("threads", "x")])).is_err());
+        // Over the cap: refused by name before the pool is resized.
+        let before = rayon::current_num_threads();
+        let over = (clb_service::MAX_THREADS + 1).to_string();
+        let err = apply_engine_flags(&flags(&[("threads", &over)])).unwrap_err();
+        assert!(err.contains(&format!("--threads {over}")), "{err}");
+        assert_eq!(rayon::current_num_threads(), before);
         // Leave the global thread count on auto for the other tests.
         apply_engine_flags(&flags(&[("threads", "0")])).unwrap();
         print_cache_stats();
+    }
+
+    #[test]
+    fn serve_refuses_thread_counts_above_the_cap() {
+        let over = (clb_service::MAX_THREADS + 1).to_string();
+        for flag in ["threads", "io-workers"] {
+            let err = serve_config(&flags(&[(flag, &over)])).unwrap_err();
+            assert!(err.contains(&format!("--{flag} {over}")), "{err}");
+        }
+        let cap = clb_service::MAX_THREADS.to_string();
+        let config = serve_config(&flags(&[("threads", &cap), ("io-workers", &cap)])).unwrap();
+        assert_eq!(config.threads, clb_service::MAX_THREADS);
+        assert_eq!(config.io_workers, clb_service::MAX_THREADS);
     }
 
     #[test]
