@@ -13,10 +13,15 @@
 //! predicates: traffic is evaluated through precomputed [`LayerTables`],
 //! the `(b, z)` outer product fans out across threads, the IGBuf/WGBuf
 //! constraints (monotone in their parameters) break candidate loops early,
-//! and the expensive `map_block` feasibility check only runs for candidates
-//! that could still beat the best feasible tiling found so far. Sharing one
-//! orchestration keeps the prune and tie-break semantics of the planner and
-//! the abstract search from drifting apart.
+//! and the PE-array mapping check only runs for candidates that could still
+//! beat the best feasible tiling found so far. That check is
+//! [`block_fits`]: it stops at the first row-grid factorisation that holds
+//! the block, over factorisations enumerated once per plan, so it allocates
+//! nothing. The blocks that map are down-closed (see
+//! [`accel_sim::mapping`]), so the first tiling of an x-run that does not
+//! map ends the run. Sharing one orchestration keeps the prune and
+//! tie-break semantics of the planner and the abstract search from
+//! drifting apart.
 //!
 //! Results are memoized process-wide in a bounded [`Memo`] keyed by
 //! `(layer shape, architecture)` — the same type as the abstract search's
@@ -28,7 +33,7 @@
 
 use std::sync::LazyLock;
 
-use accel_sim::mapping::{map_block, Block};
+use accel_sim::mapping::{block_fits, map_block, Block, RowGrids};
 use accel_sim::{ArchCacheKey, ArchConfig};
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
@@ -46,7 +51,12 @@ pub fn tiling_feasible(layer: &ConvLayer, tiling: &Tiling, arch: &ArchConfig) ->
         return false;
     }
     // If the full-size block maps, every (smaller) boundary block maps too.
-    let block = Block {
+    map_block(arch, layer, &full_block(tiling)).is_ok()
+}
+
+/// The full-size output block of `tiling`, at the origin.
+fn full_block(tiling: &Tiling) -> Block {
+    Block {
         i0: 0,
         b: tiling.b,
         z0: 0,
@@ -55,8 +65,7 @@ pub fn tiling_feasible(layer: &ConvLayer, tiling: &Tiling, arch: &ArchConfig) ->
         y: tiling.y,
         x0: 0,
         x: tiling.x,
-    };
-    map_block(arch, layer, &block).is_ok()
+    }
 }
 
 /// Memo-cache key: the layer shape plus the full architecture identity.
@@ -141,26 +150,16 @@ fn plan_for_arch_uncached(
 
     // The WGBuf constraint (`z` kernel rows resident) and the IGBuf
     // constraint (`b·x'·y'` halo-included inputs resident) are monotone in
-    // every tiling parameter, so they drive the engine's loop breaks; the
-    // expensive PE-array mapping check is the residual predicate, run only
-    // for candidates that could still beat the best feasible tiling.
+    // every tiling parameter, so they drive the engine's loop breaks. The
+    // PE-array mapping check is monotone too (the blocks that map are
+    // down-closed) but costs more, so it is the residual predicate, run
+    // only for candidates that could still beat the best feasible tiling.
     let monotone_fits = |t: &Tiling| {
         let (xh, yh) = layer.input_footprint(t.x, t.y);
         t.z <= arch.wgbuf_entries && t.b * xh * yh <= arch.igbuf_entries
     };
-    let mappable = |t: &Tiling| {
-        let block = Block {
-            i0: 0,
-            b: t.b,
-            z0: 0,
-            z: t.z,
-            y0: 0,
-            y: t.y,
-            x0: 0,
-            x: t.x,
-        };
-        map_block(arch, layer, &block).is_ok()
-    };
+    let grids = RowGrids::new(arch.pe_rows);
+    let mappable = |t: &Tiling| block_fits(arch, layer, &grids, &full_block(t));
     let best = search_ours_with(
         layer,
         &tables,
@@ -183,17 +182,7 @@ fn plan_for_arch_uncached(
                     capacity: arch.igbuf_entries,
                 })
             } else {
-                let block = Block {
-                    i0: 0,
-                    b: 1,
-                    z0: 0,
-                    z: 1,
-                    y0: 0,
-                    y: 1,
-                    x0: 0,
-                    x: 1,
-                };
-                match map_block(arch, layer, &block) {
+                match map_block(arch, layer, &full_block(&unit)) {
                     Err(e) => Err(accel_sim::SimError::Unmappable(e)),
                     Ok(_) => Err(accel_sim::SimError::WeightTileTooLarge {
                         z: 1,

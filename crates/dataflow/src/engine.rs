@@ -16,11 +16,18 @@
 //!   dense (not just the candidate grid) so random-sampling DSE reuses them.
 //! * **Pruning**: `onchip_words` of every dataflow is monotone
 //!   nondecreasing in each of its parameters (`b/z/k/y/x`), so each sorted
-//!   candidate loop breaks at the first infeasible point. On top of that the
-//!   `Ours` sweep computes a per-subtree lower bound on traffic (both the
-//!   weight term's `n_x` and the input term's `Σx''` are bounded below by
-//!   their minima over the whole candidate list) and skips subtrees that
-//!   cannot *strictly* beat the best feasible traffic found so far.
+//!   candidate loop breaks at the first infeasible point. On top of that
+//!   every sweep skips subtrees whose traffic *floor* is strictly above
+//!   the best feasible traffic found so far (ties are still visited, so
+//!   the canonical tie-break is unchanged). A floor is the traffic formula
+//!   with every axis below the subtree's root at its table minimum: one
+//!   tile (`n = 1`) and the smallest summed extent (`Σx''` at
+//!   [`AxisTable::min_sum`]). It is admissible because every formula has
+//!   nonnegative coefficients in its tile counts and summed extents. The
+//!   `Ours` sweep floors each `(b, z)` and `(b, z, y)` subtree; the
+//!   baseline sweeps floor each `(z, k)` and `(z, k, y)` subtree, visiting
+//!   `z`, `k` and `y` from their largest feasible value down so the
+//!   incumbent is near-optimal from the first subtree.
 //! * **Parallelism**: the `(b, z)` outer product of the `Ours` sweep and
 //!   the planner's structural search fan out across threads (`rayon`
 //!   `par_map`); the shared best used for pruning is a relaxed `AtomicU64`,
@@ -356,17 +363,20 @@ impl LayerTables {
 /// fan-out, monotone loop breaks, atomic global-best lower-bound pruning and
 /// canonical tie-breaking, parameterized over *what "feasible" means*.
 ///
-/// Call sites supply two predicates:
+/// Call sites supply two predicates, both monotone nonincreasing in each
+/// of `b/z/y/x` (growing any parameter can only turn `true` into `false`,
+/// so the set of tilings they accept is down-closed):
 ///
-/// * `monotone_fits` must be monotone nonincreasing in each of `b/z/y/x`
-///   (growing any parameter can only turn `true` into `false`) — it drives
-///   the sorted-candidate loop breaks. The abstract search uses the on-chip
-///   working set against total memory `S`; the planner uses the WGBuf/IGBuf
+/// * `monotone_fits` is the cheap one. It drives the sorted-candidate loop
+///   breaks at every level. The abstract search uses the on-chip working
+///   set against total memory `S`; the planner uses the WGBuf/IGBuf
 ///   structural capacities.
-/// * `feasible` is the residual (possibly expensive, non-monotone) check,
-///   run only for candidates that could still beat the best feasible
-///   traffic found so far. The planner passes the PE-array `map_block`
-///   test; the abstract search has no residual constraint.
+/// * `feasible` is the residual, possibly expensive check, run only for
+///   candidates that could still beat the best feasible traffic found so
+///   far; the first candidate of an x-run it rejects ends the run. The
+///   planner passes the PE-array mapping test (`block_fits`); the abstract
+///   search has no residual constraint. A predicate that is not monotone
+///   may lose feasible tilings further along an x-run.
 ///
 /// `z_cap` (when given) truncates the `z` candidate list before fan-out —
 /// a hard structural bound like the WGBuf entry count. `seed` (when it
@@ -439,15 +449,23 @@ where
         let nz = tile_count(layer.out_channels(), z);
         let weight_base = tables.taps_ci * layer.out_channels() as u64 * nb;
         let input_base = layer.batch() as u64 * tables.ci * nz;
+        // Floor over every (y, x): n_y, n_x ≥ 1 and Σy'', Σx'' ≥ their
+        // axis minima.
+        let floor = weight_base
+            + input_base * tables.y.min_sum() * tables.x.min_sum()
+            + tables.output_words;
+        if floor > global_best.load(Ordering::Relaxed) {
+            return tracker; // strictly worse than an achieved feasible point
+        }
         for &y in ys {
             if !monotone_fits(&Tiling { b, z, y, x: 1 }) {
                 break; // larger y only grows the working set
             }
-            // Lower bound over every x: n_x ≥ 1 and Σx'' ≥ its axis minimum.
-            let lower_bound = weight_base * tables.y.count(y)
+            // Floor over every x: n_x ≥ 1 and Σx'' ≥ its axis minimum.
+            let floor = weight_base * tables.y.count(y)
                 + input_base * tables.y.sum(y) * tables.x.min_sum()
                 + tables.output_words;
-            if lower_bound > global_best.load(Ordering::Relaxed) {
+            if floor > global_best.load(Ordering::Relaxed) {
                 continue; // strictly worse than an achieved feasible point
             }
             for &x in xs {
@@ -462,7 +480,7 @@ where
                     continue;
                 }
                 if !feasible(&tiling) {
-                    continue;
+                    break; // `feasible` is monotone: larger x fails too
                 }
                 tracker.offer(Candidate {
                     tiling,
@@ -533,20 +551,52 @@ fn baseline_tiling(layer: &ConvLayer, p: &BaselineParams) -> Tiling {
     }
 }
 
-/// Baseline traffic via table lookups — field-for-field identical to the
-/// `baselines::*_traffic` formulas.
+/// The two quantities a baseline traffic formula reads from one spatial
+/// axis: its tile count `n` and its summed clipped input extent `Σx''`.
+#[derive(Debug, Clone, Copy)]
+struct AxisTerms {
+    count: u64,
+    sum: u64,
+}
+
+impl AxisTable {
+    /// The exact terms of tiles of size `tile`.
+    fn terms(&self, tile: usize) -> AxisTerms {
+        AxisTerms {
+            count: self.count(tile),
+            sum: self.sum(tile),
+        }
+    }
+
+    /// Terms no tile size goes below: one tile, the smallest summed
+    /// extent. They make the traffic formulas floors over the whole axis.
+    fn floor_terms(&self) -> AxisTerms {
+        AxisTerms {
+            count: 1,
+            sum: self.min_sum,
+        }
+    }
+}
+
+/// Baseline traffic at tiles `z`/`k` and spatial terms `ty`/`tx`. With the
+/// axes' exact [`AxisTable::terms`] it is field-for-field identical to the
+/// `baselines::*_traffic` formulas; with [`AxisTable::floor_terms`] on
+/// an axis it is a floor over every tile size of that axis, because each
+/// formula has nonnegative coefficients in `n_y`, `n_x`, `Σy''` and `Σx''`.
 fn baseline_traffic(
     kind: DataflowKind,
     layer: &ConvLayer,
-    tables: &LayerTables,
-    p: &BaselineParams,
+    z: usize,
+    k: usize,
+    ty: AxisTerms,
+    tx: AxisTerms,
 ) -> DramTraffic {
     let b = layer.batch() as u64;
     let co = layer.out_channels() as u64;
     let ci = layer.in_channels() as u64;
     let taps = (layer.kernel_height() * layer.kernel_width()) as u64;
-    let (ny, nx) = (tables.y.count(p.y), tables.x.count(p.x));
-    let (sum_y, sum_x) = (tables.y.sum(p.y), tables.x.sum(p.x));
+    let (ny, nx) = (ty.count, tx.count);
+    let (sum_y, sum_x) = (ty.sum, tx.sum);
     let out = layer.output_words();
     match kind {
         DataflowKind::OutRA => DramTraffic {
@@ -562,8 +612,8 @@ fn baseline_traffic(
             output_writes: out,
         },
         DataflowKind::WtRA => {
-            let nz = tile_count(layer.out_channels(), p.z);
-            let nk = tile_count(layer.in_channels(), p.k);
+            let nz = tile_count(layer.out_channels(), z);
+            let nk = tile_count(layer.in_channels(), k);
             DramTraffic {
                 input_reads: nz * layer.input_words(),
                 weight_reads: layer.weight_words(),
@@ -572,7 +622,7 @@ fn baseline_traffic(
             }
         }
         DataflowKind::WtRB => {
-            let nz = tile_count(layer.out_channels(), p.z);
+            let nz = tile_count(layer.out_channels(), z);
             DramTraffic {
                 input_reads: nz * layer.input_words(),
                 weight_reads: layer.weight_words(),
@@ -581,7 +631,7 @@ fn baseline_traffic(
             }
         }
         DataflowKind::InRA => {
-            let nk = tile_count(layer.in_channels(), p.k);
+            let nk = tile_count(layer.in_channels(), k);
             DramTraffic {
                 input_reads: b * sum_y * sum_x * ci,
                 weight_reads: b * ny * nx * co * taps * ci,
@@ -590,7 +640,7 @@ fn baseline_traffic(
             }
         }
         DataflowKind::InRB => {
-            let nk = tile_count(layer.in_channels(), p.k);
+            let nk = tile_count(layer.in_channels(), k);
             DramTraffic {
                 input_reads: layer.input_words(),
                 weight_reads: b * layer.weight_words(),
@@ -615,9 +665,9 @@ fn baseline_onchip(kind: DataflowKind, layer: &ConvLayer, p: &BaselineParams) ->
     }
 }
 
-/// Sweeps one baseline dataflow's parameters with table-driven evaluation
-/// and monotone feasibility breaks — identical results to
-/// [`naive::search_baseline`].
+/// Sweeps one baseline dataflow's parameters with table-driven evaluation,
+/// monotone feasibility breaks and traffic-floor pruning — identical
+/// results to [`naive::search_baseline`].
 #[must_use]
 pub fn search_baseline(
     kind: DataflowKind,
@@ -653,35 +703,45 @@ pub fn search_baseline(
     };
 
     // Every baseline's onchip model is monotone nondecreasing in each swept
-    // parameter (z/k linear terms, y/x through the halo footprint), so each
-    // sorted loop breaks at the first infeasible point; the checks fix the
+    // parameter (z/k linear terms, y/x through the halo footprint), so the
+    // feasible values of each sorted list form a prefix; the checks fix the
     // inner parameters at their minimum candidate, which is always 1.
     let fits = |z: usize, k: usize, y: usize, x: usize| {
         baseline_onchip(kind, layer, &BaselineParams { z, k, y, x }) as f64 <= mem_words
     };
+    let traffic = |z: usize, k: usize, ty: AxisTerms, tx: AxisTerms| {
+        baseline_traffic(kind, layer, z, k, ty, tx)
+    };
+    let (floor_y, floor_x) = (tables.y.floor_terms(), tables.x.floor_terms());
     let mut tracker = BestTracker::new();
-    'z: for &z in zs {
-        if !fits(z, 1, 1, 1) {
-            break 'z;
-        }
-        'k: for &k in ks {
-            if !fits(z, k, 1, 1) {
-                break 'k;
+    let mut best = u64::MAX;
+    // Largest feasible z, k and y first; a subtree whose floor is strictly
+    // above the best traffic so far cannot hold the canonical winner.
+    let z_fit = zs.partition_point(|&z| fits(z, 1, 1, 1));
+    for &z in zs[..z_fit].iter().rev() {
+        let k_fit = ks.partition_point(|&k| fits(z, k, 1, 1));
+        for &k in ks[..k_fit].iter().rev() {
+            if traffic(z, k, floor_y, floor_x).total_words() > best {
+                continue;
             }
-            'y: for &y in ys {
-                if !fits(z, k, y, 1) {
-                    break 'y;
+            let y_fit = ys.partition_point(|&y| fits(z, k, y, 1));
+            for &y in ys[..y_fit].iter().rev() {
+                let ty = tables.y.terms(y);
+                if traffic(z, k, ty, floor_x).total_words() > best {
+                    continue;
                 }
                 for &x in xs {
-                    let p = BaselineParams { z, k, y, x };
-                    if baseline_onchip(kind, layer, &p) as f64 > mem_words {
+                    if !fits(z, k, y, x) {
                         break;
                     }
-                    tracker.offer(Candidate {
+                    let p = BaselineParams { z, k, y, x };
+                    let candidate = Candidate {
                         tiling: baseline_tiling(layer, &p),
-                        k: p.k,
-                        traffic: baseline_traffic(kind, layer, &tables, &p),
-                    });
+                        k,
+                        traffic: traffic(z, k, ty, tables.x.terms(x)),
+                    };
+                    best = best.min(candidate.traffic.total_words());
+                    tracker.offer(candidate);
                 }
             }
         }
@@ -1060,8 +1120,14 @@ mod tests {
     #[test]
     fn generic_sweep_honors_residual_feasibility() {
         // A residual predicate that rejects everything leaves only `None`;
-        // one that rejects the winner changes the choice to the runner-up,
-        // never to an infeasible point.
+        // one that rejects the winner changes the choice to a worse
+        // feasible point, never to an infeasible one. Residual predicates
+        // are monotone, so the winner is excluded by an L-shaped
+        // down-closed set: every x on the first row, only x below the
+        // winner's on the rows past it. x-runs then end part-way, the best
+        // point lies on a row after the first run that ends (ending more
+        // than the x-run would lose it), and the choice must be the best
+        // point of the filtered grid.
         let l = ConvLayer::square(1, 16, 14, 8, 3, 1).unwrap();
         let tables = LayerTables::new(&l);
         let mem = OnChipMemory::from_kib(24.0);
@@ -1070,9 +1136,29 @@ mod tests {
         assert!(search_ours_with(&l, &tables, None, None, monotone, |_| false).is_none());
         let unrestricted = search_ours_with(&l, &tables, None, None, monotone, |_| true).unwrap();
         let banned = unrestricted.tiling;
-        let second = search_ours_with(&l, &tables, None, None, monotone, |t| *t != banned).unwrap();
+        let l_shape = |t: &Tiling| t.y < 2 || t.x < banned.x;
+        let second = search_ours_with(&l, &tables, None, None, monotone, l_shape).unwrap();
         assert_ne!(second.tiling, banned);
         assert!(second.key() > unrestricted.key());
+
+        let mut brute = BestTracker::new();
+        for b in 1..=l.batch() {
+            for &z in &dense_candidates(l.out_channels()) {
+                for &y in &dense_candidates(l.output_height()) {
+                    for &x in &dense_candidates(l.output_width()) {
+                        let tiling = Tiling { b, z, y, x };
+                        if monotone(&tiling) && l_shape(&tiling) {
+                            brute.offer(Candidate {
+                                tiling,
+                                k: 1,
+                                traffic: crate::our_dataflow_traffic(&l, &tiling),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(brute.into_best(), Some(second));
     }
 
     #[test]

@@ -39,6 +39,25 @@ fn layer_strategy() -> impl Strategy<Value = ConvLayer> {
         })
 }
 
+/// Layers on the axes of the benchmark's `cold_layers` workload: channel
+/// counts above 64, so every swept dimension walks `candidates()`'s
+/// divisor-plus-ladder grid (and the `Ours` sweep its densified form),
+/// which is where the traffic floors prune. The strategy above never
+/// draws channel counts that large.
+fn cold_layer_strategy() -> impl Strategy<Value = ConvLayer> {
+    (
+        1usize..=3,    // batch
+        64usize..=191, // out channels
+        16usize..=40,  // input size
+        64usize..=191, // in channels
+        prop::bool::ANY,
+        1usize..=2, // stride
+    )
+        .prop_filter_map("valid layer", |(b, co, size, ci, k3, s)| {
+            ConvLayer::square(b, co, size, ci, if k3 { 3 } else { 1 }, s).ok()
+        })
+}
+
 /// Memory sizes from cramped to roomy, including the paper's fractional
 /// 66.5 KiB configuration.
 const MEM_KIB: [f64; 4] = [2.0, 16.0, 66.5, 173.5];
@@ -72,6 +91,23 @@ proptest! {
         let first = engine::found_minimum(&layer, mem);
         let cached = engine::found_minimum(&layer, mem);
         prop_assert_eq!(first, cached);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn engine_matches_naive_on_cold_layer_axes(
+        layer in cold_layer_strategy(),
+        mem_kib in 33.25f64..=199.5,
+    ) {
+        let mem = OnChipMemory::from_kib(mem_kib);
+        for kind in DataflowKind::ALL {
+            let fast = engine::search_dataflow(kind, &layer, mem);
+            let slow = naive::search_dataflow(kind, &layer, mem);
+            prop_assert_eq!(fast, slow, "{:?} diverged on {} at {} KiB", kind, layer, mem_kib);
+        }
     }
 }
 

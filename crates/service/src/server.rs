@@ -95,10 +95,10 @@ pub type LogSink = Arc<dyn Fn(&str) + Send + Sync>;
 pub const RETRY_AFTER_SECS: u32 = 1;
 
 /// The largest [`ServiceConfig::threads`] and [`ServiceConfig::io_workers`]
-/// that `clb serve` accepts. Each counts operating-system threads: the
-/// I/O workers start with the server, and `threads − 1` compute-pool
-/// helpers start on the first fan-out, so an unbounded value would start
-/// that many threads.
+/// that [`Server::bind`] (and so `clb serve`) accepts. Each counts
+/// operating-system threads: the I/O workers start with the server, and
+/// `threads − 1` compute-pool helpers start on the first fan-out, so an
+/// unbounded value would start that many threads.
 pub const MAX_THREADS: usize = 1024;
 
 /// Server configuration. `Default` gives a localhost server on an
@@ -115,15 +115,15 @@ pub struct ServiceConfig {
     /// 0 means one per available CPU. Each permit holds one slot of the
     /// process-wide compute budget of `rayon::current_num_threads()`
     /// slots, whose pool helpers fan a request out only into free slots;
-    /// `clb serve --threads N` sets both to N, and refuses N above
-    /// [`MAX_THREADS`].
+    /// `clb serve --threads N` sets both to N. [`Server::bind`] refuses a
+    /// value above [`MAX_THREADS`].
     pub threads: usize,
     /// I/O worker threads of the event tier — the threads that parse,
     /// route and answer requests on *ready* sockets (idle sockets are
     /// parked on the poller and cost no thread). 0 (the default) sizes
     /// the pool to the compute permit count plus headroom for socket
-    /// I/O that blocks outside the [`Gate`]. Clamped to ≥ 1. `clb serve
-    /// --io-workers N` refuses N above [`MAX_THREADS`].
+    /// I/O that blocks outside the [`Gate`]. Clamped to ≥ 1.
+    /// [`Server::bind`] refuses a value above [`MAX_THREADS`].
     pub io_workers: usize,
     /// Bound on the wait room of shelved analysis requests — framed
     /// requests that found every `threads` permit busy (overflow is shed
@@ -1878,8 +1878,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (e.g. port already in use).
+    /// [`std::io::ErrorKind::InvalidInput`] naming the field, before any
+    /// bind, when `config.threads` or `config.io_workers` exceeds
+    /// [`MAX_THREADS`]; otherwise propagates the bind failure (e.g. port
+    /// already in use).
     pub fn bind(config: ServiceConfig) -> std::io::Result<Server> {
+        for (field, n) in [
+            ("threads", config.threads),
+            ("io_workers", config.io_workers),
+        ] {
+            if n > MAX_THREADS {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{field} = {n} exceeds the cap of {MAX_THREADS} threads"),
+                ));
+            }
+        }
         let listener = TcpListener::bind((config.host, config.port))?;
         let server = Server {
             listener,
@@ -2168,6 +2182,30 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
         (client, server)
+    }
+
+    /// An embedder's over-cap thread count is refused by field name before
+    /// the bind, so no listener and no thread is ever started with it.
+    #[test]
+    fn bind_refuses_thread_counts_above_the_cap() {
+        for field in ["threads", "io_workers"] {
+            let mut config = ServiceConfig::default();
+            match field {
+                "threads" => config.threads = MAX_THREADS + 1,
+                _ => config.io_workers = MAX_THREADS + 1,
+            }
+            let Err(err) = Server::bind(config) else {
+                panic!("an over-cap {field} was bound");
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "{field} = {} exceeds the cap of {MAX_THREADS} threads",
+                    MAX_THREADS + 1
+                )
+            );
+        }
     }
 
     /// The poisoned-lock regression: before lock recovery, one panicking

@@ -13,6 +13,17 @@
 //!
 //! The row-grid factorisation `(pb, py, px)` is chosen to minimise the halo
 //! overhead (extra GBuf input reads) among all feasible factorisations.
+//!
+//! The set of blocks that map is *down-closed*: if a block maps, so does
+//! every block no larger in any of `b'`, `z'`, `y'` and `x'`. For a fixed
+//! factorisation, `zs`, `⌈b'/pb⌉`, `ys` and `xs` are ceilings of the block
+//! sizes, so they never shrink as a block grows; the LReg demand
+//! `positions·zs`, the full halo window and the per-kernel-row fallback
+//! window are products of them (and of the halo footprints, which grow
+//! with `xs` and `ys`). A grid that holds a block therefore holds every
+//! smaller one. [`block_fits`] answers the yes/no question with the same
+//! per-factorisation test [`map_block`] runs, so a search that grows a
+//! block along one axis can stop at the first block that does not map.
 
 use conv_model::ConvLayer;
 use serde::{Deserialize, Serialize};
@@ -138,21 +149,91 @@ impl std::fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-fn factor_triples(p: usize) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    for pb in 1..=p {
-        if !p.is_multiple_of(pb) {
-            continue;
-        }
-        let rest = p / pb;
-        for py in 1..=rest {
-            if !rest.is_multiple_of(py) {
-                continue;
-            }
-            out.push((pb, py, rest / py));
+/// The row-grid factorisations `(pb, py, px)` of `p` PE rows, `pb` then
+/// `py` ascending. Lazy, so [`map_block`] allocates nothing.
+fn factor_triples(p: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (1..=p)
+        .filter(move |pb| p.is_multiple_of(*pb))
+        .flat_map(move |pb| {
+            let rest = p / pb;
+            (1..=rest)
+                .filter(move |py| rest.is_multiple_of(*py))
+                .map(move |py| (pb, py, rest / py))
+        })
+}
+
+/// The row-grid factorisations of one PE-row count, enumerated once so a
+/// search that asks [`block_fits`] about many blocks on one array does
+/// not enumerate them per block.
+#[derive(Debug, Clone)]
+pub struct RowGrids {
+    pe_rows: usize,
+    grids: Vec<(usize, usize, usize)>,
+}
+
+impl RowGrids {
+    /// The factorisations of `pe_rows` rows, in [`map_block`]'s order.
+    #[must_use]
+    pub fn new(pe_rows: usize) -> Self {
+        RowGrids {
+            pe_rows,
+            grids: factor_triples(pe_rows).collect(),
         }
     }
-    out
+}
+
+/// Why one row-grid factorisation cannot hold a block.
+enum Shortfall {
+    /// Psum entries per PE it would need.
+    Lregs(usize),
+    /// GReg-segment words its smallest resident window would need.
+    Segment(usize),
+}
+
+/// The LReg and GReg-segment test of one factorisation `(pb, py, px)`,
+/// shared by [`map_block`] and [`block_fits`]: the mapping when the block
+/// fits, else what it would need.
+fn map_on_grid(
+    arch: &ArchConfig,
+    layer: &ConvLayer,
+    block: &Block,
+    zs: usize,
+    (pb, py, px): (usize, usize, usize),
+) -> Result<Mapping, Shortfall> {
+    let images_per_row = block.b.div_ceil(pb);
+    let ys = block.y.div_ceil(py);
+    let xs = block.x.div_ceil(px);
+    let positions = images_per_row * ys * xs;
+    let lregs = positions * zs;
+    if lregs > arch.lreg_entries_per_pe {
+        return Err(Shortfall::Lregs(lregs));
+    }
+    let (xsp, ysp) = layer.input_footprint(xs, ys);
+    let window = images_per_row * xsp * ysp;
+    let (segment_words, segment_stream_words) = if window <= arch.greg_segment_entries {
+        (window, window)
+    } else {
+        // Per-kernel-row fallback: keep one kernel row's rows resident,
+        // re-streaming from the IGBuf for each of the Hk passes.
+        let rows_per_ky = (ys - 1) * layer.stride() + 1;
+        let per_ky = images_per_row * xsp * rows_per_ky;
+        if per_ky > arch.greg_segment_entries {
+            return Err(Shortfall::Segment(per_ky));
+        }
+        (per_ky, layer.kernel_height() * per_ky)
+    };
+    Ok(Mapping {
+        zs,
+        pb,
+        py,
+        px,
+        ys,
+        xs,
+        images_per_row,
+        positions,
+        segment_words,
+        segment_stream_words,
+    })
 }
 
 /// Maps a block onto the array, minimising halo overhead among feasible
@@ -168,49 +249,22 @@ pub fn map_block(arch: &ArchConfig, layer: &ConvLayer, block: &Block) -> Result<
     let mut least_lregs = usize::MAX;
     let mut least_segment = usize::MAX;
 
-    for (pb, py, px) in factor_triples(arch.pe_rows) {
-        let images_per_row = block.b.div_ceil(pb);
-        let ys = block.y.div_ceil(py);
-        let xs = block.x.div_ceil(px);
-        let positions = images_per_row * ys * xs;
-        let lregs = positions * zs;
-        least_lregs = least_lregs.min(lregs);
-        if lregs > arch.lreg_entries_per_pe {
-            continue;
-        }
-        let (xsp, ysp) = layer.input_footprint(xs, ys);
-        let window = images_per_row * xsp * ysp;
-        let (segment_words, segment_stream_words) = if window <= arch.greg_segment_entries {
-            (window, window)
-        } else {
-            // Per-kernel-row fallback: keep one kernel row's rows resident,
-            // re-streaming from the IGBuf for each of the Hk passes.
-            let rows_per_ky = (ys - 1) * layer.stride() + 1;
-            let per_ky = images_per_row * xsp * rows_per_ky;
-            least_segment = least_segment.min(per_ky);
-            if per_ky > arch.greg_segment_entries {
+    for grid in factor_triples(arch.pe_rows) {
+        let mapping = match map_on_grid(arch, layer, block, zs, grid) {
+            Ok(mapping) => mapping,
+            Err(Shortfall::Lregs(needed)) => {
+                least_lregs = least_lregs.min(needed);
                 continue;
             }
-            (per_ky, layer.kernel_height() * per_ky)
+            Err(Shortfall::Segment(needed)) => {
+                least_segment = least_segment.min(needed);
+                continue;
+            }
         };
-        least_segment = least_segment.min(segment_words);
         // Halo overhead: total input words the row segments stream per
         // input channel. Fewer is better; tie-break on fewer wasted Psum
         // slots.
-        let rows = pb * py * px;
-        let cost = (rows * segment_stream_words) as u64;
-        let mapping = Mapping {
-            zs,
-            pb,
-            py,
-            px,
-            ys,
-            xs,
-            images_per_row,
-            positions,
-            segment_words,
-            segment_stream_words,
-        };
+        let cost = (mapping.rows_used() * mapping.segment_stream_words) as u64;
         match &best {
             Some((c, m)) if *c < cost || (*c == cost && m.lregs_used() <= mapping.lregs_used()) => {
             }
@@ -218,19 +272,36 @@ pub fn map_block(arch: &ArchConfig, layer: &ConvLayer, block: &Block) -> Result<
         }
     }
 
-    best.map(|(_, m)| m).ok_or({
-        if least_lregs > arch.lreg_entries_per_pe {
-            MapError::LregOverflow {
-                needed: least_lregs,
-                available: arch.lreg_entries_per_pe,
-            }
-        } else {
-            MapError::SegmentOverflow {
-                needed: least_segment,
-                available: arch.greg_segment_entries,
-            }
+    best.map(|(_, m)| m).ok_or(if least_segment < usize::MAX {
+        // Some factorisation held the Psums, so its segment is what failed.
+        MapError::SegmentOverflow {
+            needed: least_segment,
+            available: arch.greg_segment_entries,
+        }
+    } else {
+        MapError::LregOverflow {
+            needed: least_lregs,
+            available: arch.lreg_entries_per_pe,
         }
     })
+}
+
+/// True when [`map_block`] would map `block`, without choosing among the
+/// factorisations: it stops at the first one that holds the block, and
+/// allocates nothing.
+///
+/// # Panics
+///
+/// Panics when `grids` was built for another row count than
+/// `arch.pe_rows`.
+#[must_use]
+pub fn block_fits(arch: &ArchConfig, layer: &ConvLayer, grids: &RowGrids, block: &Block) -> bool {
+    assert_eq!(grids.pe_rows, arch.pe_rows, "row grids of another array");
+    let zs = block.z.div_ceil(arch.pe_cols);
+    grids
+        .grids
+        .iter()
+        .any(|&grid| map_on_grid(arch, layer, block, zs, grid).is_ok())
 }
 
 #[cfg(test)]
@@ -284,7 +355,8 @@ mod tests {
         for (pb, py, px) in factor_triples(16) {
             assert_eq!(pb * py * px, 16);
         }
-        assert!(factor_triples(16).len() >= 10);
+        assert!(factor_triples(16).count() >= 10);
+        assert_eq!(RowGrids::new(24).grids.len(), 30);
     }
 
     #[test]
