@@ -99,18 +99,10 @@ impl Accelerator {
     ///
     /// Propagates [`SimError`].
     pub fn analyze_layer(&self, name: &str, layer: &ConvLayer) -> Result<LayerReport, SimError> {
-        let tiling = self.plan(layer)?;
-        let stats = accel_sim::simulate(layer, &tiling, &self.arch)?;
-        let energy = energy_of(&stats, &self.arch, &self.energy_params);
-        let bounds = BoundSummary::of(layer, accel_sim::effective_memory(&self.arch));
-        Ok(LayerReport {
-            name: name.to_string(),
-            layer: *layer,
-            tiling,
-            stats,
-            energy,
-            bounds,
+        self.analyze_with(name, layer, |tiling| {
+            Ok((accel_sim::simulate(layer, tiling, &self.arch)?, ()))
         })
+        .map(|(report, ())| report)
     }
 
     /// Full analysis of one layer plus an execution trace of its planned
@@ -132,8 +124,22 @@ impl Accelerator {
         layer: &ConvLayer,
         options: &accel_sim::TraceOptions,
     ) -> Result<(LayerReport, accel_sim::ExecutionTrace), SimError> {
+        self.analyze_with(name, layer, |tiling| {
+            accel_sim::simulate_traced(layer, tiling, &self.arch, options)
+        })
+    }
+
+    /// The one plan → simulate → energy → bound body of both layer
+    /// analyses; `simulate` runs the planned tiling and returns the stats
+    /// with whatever else it recorded.
+    fn analyze_with<T>(
+        &self,
+        name: &str,
+        layer: &ConvLayer,
+        simulate: impl FnOnce(&Tiling) -> Result<(SimStats, T), SimError>,
+    ) -> Result<(LayerReport, T), SimError> {
         let tiling = self.plan(layer)?;
-        let (stats, trace) = accel_sim::simulate_traced(layer, &tiling, &self.arch, options)?;
+        let (stats, recorded) = simulate(&tiling)?;
         let energy = energy_of(&stats, &self.arch, &self.energy_params);
         let bounds = BoundSummary::of(layer, accel_sim::effective_memory(&self.arch));
         Ok((
@@ -145,7 +151,7 @@ impl Accelerator {
                 energy,
                 bounds,
             },
-            trace,
+            recorded,
         ))
     }
 

@@ -92,25 +92,6 @@ pub struct ArchSweepEntry<R = LayerReport> {
     pub outcome: Result<R, SimError>,
 }
 
-impl<R: SweepCost> ArchSweepEntry<R> {
-    /// The canonical sort key: feasible before infeasible, then fewest
-    /// total cycles, then least DRAM traffic, then the architecture's own
-    /// total order. A total order over distinct candidates, so sweep output
-    /// never depends on enumeration order.
-    #[must_use]
-    pub fn sort_key(&self) -> (u8, u64, u64, ArchCacheKey) {
-        match &self.outcome {
-            Ok(report) => (
-                0,
-                report.sweep_cycles(),
-                report.sweep_dram_words(),
-                self.arch.cache_key(),
-            ),
-            Err(_) => (1, 0, 0, self.arch.cache_key()),
-        }
-    }
-}
-
 /// Collapses exact duplicates (same [`ArchConfig::cache_key`]), keeping the
 /// first occurrence of each — shared by both sweep modes so "evaluated
 /// once" means the same thing everywhere.
@@ -126,8 +107,8 @@ fn dedup_candidates(candidates: &[ArchConfig]) -> Vec<ArchConfig> {
     unique
 }
 
-/// Pairs each candidate with its outcome and applies the canonical order —
-/// the shared tail of both sweep modes.
+/// Pairs each candidate with its outcome and applies the canonical order,
+/// [`Objective::Cycles`] — the shared tail of both sweep modes.
 fn canonical_entries<R: SweepCost>(
     archs: Vec<ArchConfig>,
     outcomes: Vec<Result<R, SimError>>,
@@ -138,7 +119,7 @@ fn canonical_entries<R: SweepCost>(
         .zip(outcomes)
         .map(|(arch, outcome)| ArchSweepEntry { arch, outcome })
         .collect();
-    entries.sort_by_key(ArchSweepEntry::sort_key);
+    entries.sort_by_key(|entry| objective_key(entry, Objective::Cycles));
     entries
 }
 
@@ -769,6 +750,16 @@ mod tests {
         (1..=5).map(ArchConfig::implementation).collect()
     }
 
+    /// The keys of a sweep's canonical order, [`Objective::Cycles`].
+    fn cycles_keys<R: SweepCost>(
+        entries: &[ArchSweepEntry<R>],
+    ) -> Vec<(u8, u64, u64, u64, ArchCacheKey)> {
+        entries
+            .iter()
+            .map(|e| objective_key(e, Objective::Cycles))
+            .collect()
+    }
+
     #[test]
     fn sweep_matches_serial_oracle() {
         let archs = table1();
@@ -797,8 +788,7 @@ mod tests {
         let b = sweep_archs("layer", &layer(), &shuffled);
         assert_eq!(a.len(), 5, "duplicates must collapse");
         assert_eq!(b.len(), 5, "duplicates must collapse");
-        let keys_a: Vec<_> = a.iter().map(ArchSweepEntry::sort_key).collect();
-        let keys_b: Vec<_> = b.iter().map(ArchSweepEntry::sort_key).collect();
+        let (keys_a, keys_b) = (cycles_keys(&a), cycles_keys(&b));
         assert_eq!(keys_a, keys_b);
         assert!(keys_a.windows(2).all(|w| w[0] < w[1]), "strict total order");
     }
@@ -850,8 +840,7 @@ mod tests {
         let a = sweep_archs_network(&net, &table1());
         let b = sweep_archs_network(&net, &shuffled);
         assert_eq!(a.len(), 5, "duplicates must collapse");
-        let keys_a: Vec<_> = a.iter().map(ArchSweepEntry::sort_key).collect();
-        let keys_b: Vec<_> = b.iter().map(ArchSweepEntry::sort_key).collect();
+        let (keys_a, keys_b) = (cycles_keys(&a), cycles_keys(&b));
         assert_eq!(keys_a, keys_b);
         assert!(keys_a.windows(2).all(|w| w[0] < w[1]), "strict total order");
     }

@@ -95,11 +95,12 @@ pub type LogSink = Arc<dyn Fn(&str) + Send + Sync>;
 pub const RETRY_AFTER_SECS: u32 = 1;
 
 /// The largest [`ServiceConfig::threads`] and [`ServiceConfig::io_workers`]
-/// that [`Server::bind`] (and so `clb serve`) accepts. Each counts
-/// operating-system threads: the I/O workers start with the server, and
-/// `threads − 1` compute-pool helpers start on the first fan-out, so an
-/// unbounded value would start that many threads.
-pub const MAX_THREADS: usize = 1024;
+/// that [`Server::bind`] (and so `clb serve`) accepts: the compute pool's
+/// own cap, `rayon::MAX_THREADS`. Each counts operating-system threads: the
+/// I/O workers start with the server, and `threads − 1` compute-pool
+/// helpers start on the first fan-out, so an unbounded value would start
+/// that many threads.
+pub const MAX_THREADS: usize = rayon::MAX_THREADS;
 
 /// Server configuration. `Default` gives a localhost server on an
 /// OS-assigned port with auto-sized workers — every field has a sensible
@@ -112,11 +113,12 @@ pub struct ServiceConfig {
     /// Bind port; 0 asks the OS for an ephemeral port.
     pub port: u16,
     /// Concurrent analysis computations (the [`Gate`] permit count);
-    /// 0 means one per available CPU. Each permit holds one slot of the
-    /// process-wide compute budget of `rayon::current_num_threads()`
-    /// slots, whose pool helpers fan a request out only into free slots;
-    /// `clb serve --threads N` sets both to N. [`Server::bind`] refuses a
-    /// value above [`MAX_THREADS`].
+    /// 0 means the compute pool's budget, `rayon::current_num_threads()`
+    /// (one per available CPU unless `rayon::ThreadPoolBuilder` set it).
+    /// Each permit holds one slot of that process-wide budget, whose pool
+    /// helpers fan a request out only into free slots; `clb serve
+    /// --threads N` sets both to N. [`Server::bind`] refuses a value above
+    /// [`MAX_THREADS`].
     pub threads: usize,
     /// I/O worker threads of the event tier — the threads that parse,
     /// route and answer requests on *ready* sockets (idle sockets are
@@ -1057,7 +1059,7 @@ impl Work {
 impl ServiceState {
     fn new(config: ServiceConfig) -> Self {
         let permits = if config.threads == 0 {
-            std::thread::available_parallelism().map_or(4, usize::from)
+            rayon::current_num_threads()
         } else {
             config.threads
         };
@@ -2182,6 +2184,12 @@ mod tests {
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
         (client, server)
+    }
+
+    #[test]
+    fn default_threads_follow_the_pool_budget() {
+        let state = ServiceState::new(ServiceConfig::default());
+        assert_eq!(state.gate.permits(), rayon::current_num_threads());
     }
 
     /// An embedder's over-cap thread count is refused by field name before

@@ -5,7 +5,8 @@
 //! uses:
 //!
 //! * [`ThreadPoolBuilder`]/[`current_num_threads`] — the process-wide
-//!   thread count `N` (0 = one per available CPU);
+//!   thread count `N` (0 = one per available CPU; at most
+//!   [`MAX_THREADS`]);
 //! * [`par_map`] — order-preserving parallel map over a slice. Items are
 //!   claimed one at a time from an atomic cursor, so unevenly sized items
 //!   (pruned search subtrees) balance across threads.
@@ -52,6 +53,11 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Global thread-count override; 0 means "use available parallelism".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
+/// The largest thread count [`ThreadPoolBuilder::build_global`] accepts:
+/// the pool starts `N − 1` operating-system threads on its first fan-out,
+/// so an unbounded `N` would start that many.
+pub const MAX_THREADS: usize = 1024;
+
 /// Compute slots in use: live [`ComputeSlot`]s plus items running on
 /// helpers.
 static BUSY: AtomicUsize = AtomicUsize::new(0);
@@ -64,15 +70,14 @@ thread_local! {
     static NESTED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Error returned by [`ThreadPoolBuilder::build_global`] (never constructed
-/// by this shim — the global knob can be set repeatedly — but kept so call
-/// sites can use the real rayon error-handling idiom).
+/// Error returned by [`ThreadPoolBuilder::build_global`] for a thread
+/// count above [`MAX_THREADS`].
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("failed to configure the global thread count")
+        write!(f, "thread count exceeds the cap of {MAX_THREADS} threads")
     }
 }
 
@@ -104,9 +109,12 @@ impl ThreadPoolBuilder {
     ///
     /// # Errors
     ///
-    /// Never fails in this shim; the signature matches real rayon so call
-    /// sites stay source-compatible.
+    /// [`ThreadPoolBuildError`], leaving the budget unchanged, when the
+    /// count exceeds [`MAX_THREADS`].
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
+        if self.num_threads > MAX_THREADS {
+            return Err(ThreadPoolBuildError);
+        }
         NUM_THREADS.store(self.num_threads, Relaxed);
         Ok(())
     }
@@ -478,6 +486,13 @@ mod tests {
             .num_threads(3)
             .build_global()
             .unwrap();
+        assert_eq!(current_num_threads(), 3);
+        // Over the cap: refused before it becomes the budget, so no helper
+        // is ever started for it (no `par_map` runs at that value).
+        let refused = ThreadPoolBuilder::new()
+            .num_threads(MAX_THREADS + 1)
+            .build_global();
+        assert!(refused.is_err());
         assert_eq!(current_num_threads(), 3);
         ThreadPoolBuilder::new()
             .num_threads(0)

@@ -25,17 +25,21 @@
 //! of thousands of redundant factorisation sweeps from the hot path behind
 //! `plan`, `/v1/plan` and `/v1/network`.
 //!
+//! One serial walk of the classes (`walk_classes`) serves both [`simulate`]
+//! and [`simulate_traced`]: the trace observes each class the walk has just
+//! counted, so the untraced and traced stats come from the same loop. A grid
+//! that barely collapses takes the same walk — it never evaluates more
+//! classes than the grid has blocks.
+//!
 //! Aggregation is *integer-exact*: every counter accumulates in `u64`/
 //! `u128`, and the floating-point utilization ratios are formed once from
 //! the integer sums (`Accumulator::finalize`). Integer addition is
 //! associative and multiplication by a multiplicity distributes exactly, so
-//! the class path, the `rayon`-fanned per-block fallback (used when a
-//! pathological grid barely collapses) and the retained serial reference
-//! walk ([`simulate_reference`]) produce bit-identical [`SimStats`] — in
-//! the spirit of hardware-counter validation work, the fast path is only
+//! the class walk and the retained serial reference walk
+//! ([`simulate_reference`]) produce bit-identical [`SimStats`] — in the
+//! spirit of hardware-counter validation work, the class walk is only
 //! trusted because it is pinned bit-for-bit against the per-block oracle
-//! (the `simulator_class_parity` property tests and the `sim_hotpath`
-//! bench gate).
+//! (the `class_parity` property tests and the `sim_hotpath` bench gate).
 
 use comm_bound::OnChipMemory;
 use conv_model::fixed::{Acc32, Q8_8};
@@ -202,41 +206,44 @@ struct AxisRun {
     count: u64,
 }
 
-/// Collapses one spatial axis of the block grid into its distinct
-/// `(len, clip)` shapes, in order of first occurrence (i.e. of each shape's
-/// earliest tile, so iterating runs visits shapes in execution order).
-fn axis_runs(
+/// The tiles of one spatial axis of the block grid, in order, each as a
+/// one-tile run. An index axis (batch, output channels) is a unit window
+/// with no padding, which makes `clip == len`: only the clamped length
+/// matters there, so it has at most two runs (interior, remainder).
+fn axis_tiles(
     out_dim: usize,
     tile: usize,
     stride: usize,
     kernel: usize,
     pad: usize,
     in_dim: usize,
-) -> Vec<AxisRun> {
-    let mut runs: Vec<AxisRun> = Vec::new();
-    let mut o0 = 0;
-    while o0 < out_dim {
+) -> impl Iterator<Item = AxisRun> {
+    (0..out_dim).step_by(tile).map(move |o0| {
         let len = tile.min(out_dim - o0);
-        let clip = clipped_extent(o0, len, stride, kernel, pad, in_dim);
-        match runs.iter_mut().find(|r| r.len == len && r.clip == clip) {
-            Some(run) => run.count += 1,
-            None => runs.push(AxisRun {
-                o0,
-                len,
-                clip,
-                count: 1,
-            }),
+        AxisRun {
+            o0,
+            len,
+            clip: clipped_extent(o0, len, stride, kernel, pad, in_dim),
+            count: 1,
         }
-        o0 += tile;
-    }
-    runs
+    })
 }
 
-/// Runs of an index axis (batch, output channels): only the clamped length
-/// matters, so there are at most two runs (interior, remainder). A unit
-/// window with no padding makes `clip == len`, keeping the key harmless.
-fn index_runs(dim: usize, tile: usize) -> Vec<AxisRun> {
-    axis_runs(dim, tile, 1, 1, 0, dim)
+/// Collapses one axis's tiles into its distinct `(len, clip)` shapes, in
+/// order of first occurrence (i.e. of each shape's earliest tile, so
+/// iterating runs visits shapes in execution order).
+fn axis_runs(tiles: impl Iterator<Item = AxisRun>) -> Vec<AxisRun> {
+    let mut runs: Vec<AxisRun> = Vec::new();
+    for tile in tiles {
+        match runs
+            .iter_mut()
+            .find(|r| r.len == tile.len && r.clip == tile.clip)
+        {
+            Some(run) => run.count += 1,
+            None => runs.push(tile),
+        }
+    }
+    runs
 }
 
 /// The access counts and integer utilization inputs of one block.
@@ -429,8 +436,8 @@ fn block_stall(arch: &ArchConfig, layer: &ConvLayer, c: &BlockCounts) -> u64 {
 /// floating-point utilization ratios are formed once in `finalize` from
 /// the integer sums. Adding a class with multiplicity
 /// `m` is therefore *exactly* the same as adding its `m` member blocks one
-/// at a time, in any order — which is what makes the class-based fast path,
-/// the parallel per-block fallback and [`simulate_reference`] bit-identical.
+/// at a time, in any order — which is what makes the class walk and
+/// [`simulate_reference`] bit-identical.
 #[derive(Default)]
 struct Accumulator {
     stats: SimStats,
@@ -518,9 +525,8 @@ impl Accumulator {
 /// Runs the counting simulation of one layer under one tiling.
 ///
 /// Collapses the block grid into shape classes (see the module docs) and
-/// evaluates one representative per class; when a pathological grid barely
-/// collapses, falls back to a thread-fanned per-block walk. Both paths are
-/// bit-identical to [`simulate_reference`].
+/// evaluates one representative per class, bit-identically to
+/// [`simulate_reference`].
 ///
 /// # Errors
 ///
@@ -537,30 +543,69 @@ pub fn simulate(
     tiling
         .validate_for(layer)
         .map_err(SimError::InvalidTiling)?;
+    walk_classes(layer, arch, &grid_runs(layer, tiling), |_, _, _| {})
+}
 
-    let [b_runs, z_runs, y_runs, x_runs] = grid_runs(layer, tiling);
+/// The tiles of each axis of the block grid under a (validated) tiling, in
+/// `(b, z, y, x)` order.
+fn grid_tiles(layer: &ConvLayer, tiling: &Tiling) -> [impl Iterator<Item = AxisRun>; 4] {
+    let (batch, channels) = (layer.batch(), layer.out_channels());
+    [
+        axis_tiles(batch, tiling.b, 1, 1, 0, batch),
+        axis_tiles(channels, tiling.z, 1, 1, 0, channels),
+        axis_tiles(
+            layer.output_height(),
+            tiling.y,
+            layer.stride(),
+            layer.kernel_height(),
+            layer.padding().vertical,
+            layer.in_height(),
+        ),
+        axis_tiles(
+            layer.output_width(),
+            tiling.x,
+            layer.stride(),
+            layer.kernel_width(),
+            layer.padding().horizontal,
+            layer.in_width(),
+        ),
+    ]
+}
 
-    let classes = (b_runs.len() * z_runs.len() * y_runs.len() * x_runs.len()) as u128;
-    let blocks = grid_block_count(layer, tiling);
-    // When classification barely collapses the grid (possible only with
-    // unusual padding/stride combinations that make many tiles of an axis
-    // clip differently), per-class evaluation saves nothing — fan the
-    // per-block walk out across threads instead. Identical results either
-    // way; this is purely a scheduling choice.
-    if classes * 4 >= blocks && blocks > 256 {
-        return simulate_blocks_parallel(layer, tiling, arch);
-    }
+/// The per-axis shape runs of the block grid under a (validated) tiling,
+/// in `(b, z, y, x)` order.
+fn grid_runs(layer: &ConvLayer, tiling: &Tiling) -> [Vec<AxisRun>; 4] {
+    grid_tiles(layer, tiling).map(axis_runs)
+}
 
-    // Classes are visited in lexicographic (b, z, y, x) run order with runs
-    // in first-occurrence order, and every error condition depends only on
-    // the clamped sizes, so the first error found here is the same error
-    // (variant and payload) the per-block walk reports for its first
-    // failing block.
+/// Total blocks of the grid, computed without enumerating it.
+fn grid_block_count(layer: &ConvLayer, tiling: &Tiling) -> u128 {
+    (layer.batch().div_ceil(tiling.b) as u128)
+        * (layer.out_channels().div_ceil(tiling.z) as u128)
+        * (layer.output_height().div_ceil(tiling.y) as u128)
+        * (layer.output_width().div_ceil(tiling.x) as u128)
+}
+
+/// The one walk of the block classes: maps, counts and accumulates each
+/// class of the grid's cross product of axis runs, then hands `observe` the
+/// class's runs, one member block's counts and the class multiplicity (a
+/// no-op for [`simulate`], the trace builder for [`simulate_traced`]).
+///
+/// Classes are visited in lexicographic `(b, z, y, x)` run order with runs
+/// in first-occurrence order, and every error condition depends only on the
+/// clamped sizes, so the first error found here is the same error (variant
+/// and payload) the per-block walk reports for its first failing block.
+fn walk_classes(
+    layer: &ConvLayer,
+    arch: &ArchConfig,
+    [b_runs, z_runs, y_runs, x_runs]: &[Vec<AxisRun>; 4],
+    mut observe: impl FnMut([&AxisRun; 4], &BlockCounts, u64),
+) -> Result<SimStats, SimError> {
     let mut acc = Accumulator::default();
-    for rb in &b_runs {
-        for rz in &z_runs {
-            for ry in &y_runs {
-                for rx in &x_runs {
+    for rb in b_runs {
+        for rz in z_runs {
+            for ry in y_runs {
+                for rx in x_runs {
                     let block = Block {
                         i0: rb.o0,
                         b: rb.len,
@@ -573,12 +618,9 @@ pub fn simulate(
                     };
                     let mapping = map_block(arch, layer, &block)?;
                     let counts = count_block(arch, layer, &block, &mapping)?;
-                    acc.add(
-                        arch,
-                        layer,
-                        &counts,
-                        rb.count * rz.count * ry.count * rx.count,
-                    );
+                    let multiplicity = rb.count * rz.count * ry.count * rx.count;
+                    acc.add(arch, layer, &counts, multiplicity);
+                    observe([rb, rz, ry, rx], &counts, multiplicity);
                 }
             }
         }
@@ -586,52 +628,17 @@ pub fn simulate(
     Ok(acc.finalize(arch))
 }
 
-/// The per-axis shape runs of the block grid under a (validated) tiling,
-/// in `(b, z, y, x)` order.
-fn grid_runs(layer: &ConvLayer, tiling: &Tiling) -> [Vec<AxisRun>; 4] {
-    [
-        index_runs(layer.batch(), tiling.b),
-        index_runs(layer.out_channels(), tiling.z),
-        axis_runs(
-            layer.output_height(),
-            tiling.y,
-            layer.stride(),
-            layer.kernel_height(),
-            layer.padding().vertical,
-            layer.in_height(),
-        ),
-        axis_runs(
-            layer.output_width(),
-            tiling.x,
-            layer.stride(),
-            layer.kernel_width(),
-            layer.padding().horizontal,
-            layer.in_width(),
-        ),
-    ]
-}
-
-/// Total blocks of the grid, computed without enumerating it.
-fn grid_block_count(layer: &ConvLayer, tiling: &Tiling) -> u128 {
-    (layer.batch().div_ceil(tiling.b) as u128)
-        * (layer.out_channels().div_ceil(tiling.z) as u128)
-        * (layer.output_height().div_ceil(tiling.y) as u128)
-        * (layer.output_width().div_ceil(tiling.x) as u128)
-}
-
 /// Runs the counting simulation of one layer under one tiling while
 /// recording an [`ExecutionTrace`] of where the cycles go (see
 /// [`crate::trace`]).
 ///
-/// Always takes the class path (the parallel fallback of [`simulate`] is a
-/// pure scheduling choice, so the returned [`SimStats`] are bit-identical
-/// to an untraced run either way), feeding the trace builder in the same
-/// loop iterations that feed the stats accumulator — which is how the
-/// trace's interval sums are guaranteed to reproduce `compute_cycles`,
-/// `stall_cycles`, `blocks` and `iterations` bit-identically. With
-/// [`TraceOptions::expand`] the class table is additionally expanded into
-/// the full per-block list in execution order (required for
-/// [`ExecutionTrace::to_vcd`]).
+/// The trace builder observes each class in the same walk that feeds the
+/// stats accumulator of [`simulate`], so the returned [`SimStats`] are
+/// bit-identical to an untraced run and the trace's interval sums
+/// reproduce `compute_cycles`, `stall_cycles`, `blocks` and `iterations`
+/// bit-identically. With [`TraceOptions::expand`] the class table is
+/// additionally expanded into the full per-block list in execution order
+/// (required for [`ExecutionTrace::to_vcd`]).
 ///
 /// # Errors
 ///
@@ -654,9 +661,8 @@ pub fn simulate_traced(
         .validate_for(layer)
         .map_err(SimError::InvalidTiling)?;
 
-    let [b_runs, z_runs, y_runs, x_runs] = grid_runs(layer, tiling);
-    let classes =
-        b_runs.len() as u128 * z_runs.len() as u128 * y_runs.len() as u128 * x_runs.len() as u128;
+    let runs = grid_runs(layer, tiling);
+    let classes: u128 = runs.iter().map(|axis| axis.len() as u128).product();
     if classes > trace_caps::MAX_TRACE_CLASSES {
         return Err(SimError::TraceTooLarge {
             cap_name: "MAX_TRACE_CLASSES",
@@ -674,127 +680,76 @@ pub fn simulate_traced(
     }
 
     let ci = layer.in_channels() as u64;
-    let mut acc = Accumulator::default();
     let mut builder = TraceBuilder::default();
-    for rb in &b_runs {
-        for rz in &z_runs {
-            for ry in &y_runs {
-                for rx in &x_runs {
-                    let block = Block {
-                        i0: rb.o0,
-                        b: rb.len,
-                        z0: rz.o0,
-                        z: rz.len,
-                        y0: ry.o0,
-                        y: ry.len,
-                        x0: rx.o0,
-                        x: rx.len,
-                    };
-                    let mapping = map_block(arch, layer, &block)?;
-                    let counts = count_block(arch, layer, &block, &mapping)?;
-                    let mult = rb.count * rz.count * ry.count * rx.count;
-                    let parts = stall_parts(arch, layer, &counts);
-                    builder.add(&ClassObservation {
-                        b: rb.len,
-                        z: rz.len,
-                        y: ry.len,
-                        x: rx.len,
-                        clip_x: rx.clip,
-                        clip_y: ry.clip,
-                        multiplicity: mult,
-                        iterations: ci,
-                        active_pes: counts.pe_denom,
-                        compute_cycles: counts.compute_cycles,
-                        // Exact: compute cycles are `ci · taps · pass_cycles`.
-                        compute_per_iteration: counts.compute_cycles / ci,
-                        load_per_iteration: parts.load_per_iteration,
-                        drain: parts.drain,
-                        latency: parts.latency,
-                        block_stall: parts.total(),
-                    });
-                    acc.add(arch, layer, &counts, mult);
-                }
-            }
-        }
-    }
-    let stats = acc.finalize(arch);
+    let stats = walk_classes(
+        layer,
+        arch,
+        &runs,
+        |[rb, rz, ry, rx], counts, multiplicity| {
+            let parts = stall_parts(arch, layer, counts);
+            builder.add(&ClassObservation {
+                b: rb.len,
+                z: rz.len,
+                y: ry.len,
+                x: rx.len,
+                clip_x: rx.clip,
+                clip_y: ry.clip,
+                multiplicity,
+                iterations: ci,
+                active_pes: counts.pe_denom,
+                compute_cycles: counts.compute_cycles,
+                // Exact: compute cycles are `ci · taps · pass_cycles`.
+                compute_per_iteration: counts.compute_cycles / ci,
+                load_per_iteration: parts.load_per_iteration,
+                drain: parts.drain,
+                latency: parts.latency,
+                block_stall: parts.total(),
+            });
+        },
+    )?;
     let mut trace = builder.finish(&stats);
     if options.expand {
-        let blocks = expand_blocks(layer, tiling, &trace);
-        TraceBuilder::attach_blocks(&mut trace, blocks);
+        TraceBuilder::attach_blocks(&mut trace, expand_blocks(layer, tiling, &runs));
     }
     Ok((stats, trace))
 }
 
 /// Expands the class table into the full per-block list, in execution
-/// order. Every block's shape key `(b, z, y, x, clip_x, clip_y)` is derived
-/// exactly as the class loop derived it, so the lookup cannot miss.
-fn expand_blocks(layer: &ConvLayer, tiling: &Tiling, trace: &ExecutionTrace) -> Vec<TraceBlock> {
-    let pad = layer.padding();
+/// order: one lookup per block, after indexing each axis's tiles by run.
+///
+/// The walk pushes one class per `(b, z, y, x)` run combination in
+/// lexicographic order, and run keys are distinct along each axis, so a
+/// block's class index is the mixed-radix number
+/// `((ib·nz + iz)·ny + iy)·nx + ix` of the runs its four tiles belong to.
+fn expand_blocks(layer: &ConvLayer, tiling: &Tiling, runs: &[Vec<AxisRun>; 4]) -> Vec<TraceBlock> {
+    let mut per_axis = runs.iter();
+    let [b, z, y, x] = grid_tiles(layer, tiling).map(|tiles| {
+        let runs = per_axis.next().expect("one run list per axis");
+        tiles
+            .map(|t| {
+                runs.iter()
+                    .position(|r| r.len == t.len && r.clip == t.clip)
+                    .expect("every tile belongs to a run of its axis")
+            })
+            .collect::<Vec<usize>>()
+    });
+    let [_, nz, ny, nx] = runs.each_ref().map(Vec::len);
     block_grid(layer, tiling)
         .iter()
-        .map(|blk| {
-            let clip_x = clipped_extent(
-                blk.x0,
-                blk.x,
-                layer.stride(),
-                layer.kernel_width(),
-                pad.horizontal,
-                layer.in_width(),
-            );
-            let clip_y = clipped_extent(
-                blk.y0,
-                blk.y,
-                layer.stride(),
-                layer.kernel_height(),
-                pad.vertical,
-                layer.in_height(),
-            );
-            let class = trace
-                .classes
-                .iter()
-                .position(|c| {
-                    c.b == blk.b
-                        && c.z == blk.z
-                        && c.y == blk.y
-                        && c.x == blk.x
-                        && c.clip_x == clip_x
-                        && c.clip_y == clip_y
-                })
-                .expect("every block of the grid belongs to a recorded shape class");
-            TraceBlock {
-                i0: blk.i0,
-                b: blk.b,
-                z0: blk.z0,
-                z: blk.z,
-                y0: blk.y0,
-                y: blk.y,
-                x0: blk.x0,
-                x: blk.x,
-                class,
-            }
+        .map(|blk| TraceBlock {
+            i0: blk.i0,
+            b: blk.b,
+            z0: blk.z0,
+            z: blk.z,
+            y0: blk.y0,
+            y: blk.y,
+            x0: blk.x0,
+            x: blk.x,
+            class: ((b[blk.i0 / tiling.b] * nz + z[blk.z0 / tiling.z]) * ny + y[blk.y0 / tiling.y])
+                * nx
+                + x[blk.x0 / tiling.x],
         })
         .collect()
-}
-
-/// The fan-out fallback: a `rayon`-parallel per-block walk feeding the same
-/// integer accumulator as the class path (in block order, though for the
-/// accumulator order is irrelevant).
-fn simulate_blocks_parallel(
-    layer: &ConvLayer,
-    tiling: &Tiling,
-    arch: &ArchConfig,
-) -> Result<SimStats, SimError> {
-    let blocks = block_grid(layer, tiling);
-    let per_block = rayon::par_map(&blocks, |block| -> Result<BlockCounts, SimError> {
-        let mapping = map_block(arch, layer, block)?;
-        count_block(arch, layer, block, &mapping)
-    });
-    let mut acc = Accumulator::default();
-    for counts in per_block {
-        acc.add(arch, layer, &counts?, 1);
-    }
-    Ok(acc.finalize(arch))
 }
 
 /// The retained per-block reference: walks every block of the grid serially
@@ -1110,7 +1065,7 @@ mod tests {
     fn axis_runs_cover_the_axis() {
         // 56 outputs in tiles of 9, kernel 3, stride 1, pad 1, input 56:
         // left-clipped edge, interior run, and a clipped remainder.
-        let runs = axis_runs(56, 9, 1, 3, 1, 56);
+        let runs = axis_runs(axis_tiles(56, 9, 1, 3, 1, 56));
         let total: u64 = runs.iter().map(|r| r.count * r.len as u64).sum();
         assert_eq!(total, 56);
         assert_eq!(
@@ -1144,6 +1099,7 @@ mod tests {
 
     #[test]
     fn index_runs_have_at_most_two_shapes() {
+        let index_runs = |dim, tile| axis_runs(axis_tiles(dim, tile, 1, 1, 0, dim));
         let runs = index_runs(64, 5);
         assert_eq!(runs.len(), 2);
         assert_eq!((runs[0].len, runs[0].count), (5, 12));
@@ -1238,17 +1194,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fallback_matches_reference_bitwise() {
-        // A unit tiling makes every block its own class along y/x only when
-        // padding clips them all differently; force the fallback by calling
-        // it directly and compare against both the class path and the
-        // reference.
-        let layer = small_layer();
-        let tiling = Tiling::clamped(&layer, 1, 3, 2, 2);
+    fn former_fallback_grids_match_reference_bitwise() {
+        // Grids with `classes · 4 ≥ blocks > 256` once took a per-block
+        // thread fan-out instead of the class walk. A 31-wide window with
+        // same padding clips the 31 columns (and rows) of a unit tiling to
+        // 16 distinct extents: 2 · 16 · 16 = 512 classes over
+        // 2 · 31 · 31 = 1,922 blocks. Untraced and traced (expanded) walks
+        // must both match the per-block oracle.
         let arch = ArchConfig::example();
-        let par = simulate_blocks_parallel(&layer, &tiling, &arch).unwrap();
-        assert_eq!(par, simulate(&layer, &tiling, &arch).unwrap());
-        assert_eq!(par, simulate_reference(&layer, &tiling, &arch).unwrap());
+        let small = small_layer();
+        let wide = ConvLayer::square(1, 3, 31, 1, 31, 1).unwrap();
+        for (layer, tiling, classes, blocks) in [
+            (small, Tiling::clamped(&small, 1, 3, 2, 2), 8, 108),
+            (wide, Tiling::clamped(&wide, 1, 2, 1, 1), 512, 1922),
+        ] {
+            let reference = simulate_reference(&layer, &tiling, &arch).unwrap();
+            assert_eq!(reference.blocks, blocks);
+            assert_eq!(simulate(&layer, &tiling, &arch).unwrap(), reference);
+            let (stats, trace) =
+                simulate_traced(&layer, &tiling, &arch, &TraceOptions { expand: true }).unwrap();
+            assert_eq!(stats, reference);
+            assert_eq!(trace.classes.len(), classes);
+            assert_eq!(trace.blocks.len() as u64, blocks);
+        }
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! * [`mapping`] — the Section IV-B workload mapping onto PE rows/columns;
 //! * [`simulate`] — the counting walk: DRAM, GBuf, GReg and LReg access
 //!   volumes, cycles (compute + unhidden DRAM stalls), utilizations —
-//!   evaluated per block *shape class* (one mapping walk per class, not per
-//!   block), with [`simulate_reference`] retained as the per-block oracle
-//!   the fast path is pinned bit-identical against;
-//! * [`simulate_functional`] — the same walk actually computing the
-//!   convolution in Q8.8 (validated against the reference loop nest);
-//! * [`simulate_traced`] / [`trace`] — the counting walk plus an
-//!   [`ExecutionTrace`]: per-class stall/compute timelines (JSON- and
+//!   evaluated per block *shape class* in one serial walk (one mapping
+//!   walk per class, not per block, whatever the grid), with
+//!   [`simulate_reference`] retained as the per-block oracle the class
+//!   walk is pinned bit-identical against;
+//! * [`simulate_functional`] — the same blocking and mapping actually
+//!   computing the convolution in Q8.8 (validated against the reference
+//!   loop nest);
+//! * [`simulate_traced`] / [`trace`] — the same class walk, observed: an
+//!   [`ExecutionTrace`] of per-class stall/compute timelines (JSON- and
 //!   VCD-renderable) whose interval sums are pinned bit-identical to the
 //!   [`SimStats`] they ship with.
 //!

@@ -2,11 +2,12 @@
 //!
 //! [`simulate_traced`](crate::simulate_traced) records, alongside the usual
 //! [`SimStats`], an [`ExecutionTrace`]: one timeline per block *shape class*
-//! (the same classes the fast path of `simulate` evaluates) describing how a
-//! member block spends its cycles — the one-off DRAM first-access latency,
-//! the per-iteration compute span, the per-iteration unhidden load stall and
-//! the one-off output drain stall — together with the class multiplicity, so
-//! the trace stays compact even for grids of tens of thousands of blocks.
+//! (the classes of `simulate`'s walk, observed as it counts them)
+//! describing how a member block spends its cycles — the one-off DRAM
+//! first-access latency, the per-iteration compute span, the per-iteration
+//! unhidden load stall and the one-off output drain stall — together with
+//! the class multiplicity, so the trace stays compact even for grids of
+//! tens of thousands of blocks.
 //! Per-block expansion ([`TraceOptions::expand`]) lists every block of the
 //! grid in execution order with a reference into the class table, which is
 //! what the VCD rendering ([`ExecutionTrace::to_vcd`]) walks.

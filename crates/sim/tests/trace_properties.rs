@@ -137,11 +137,16 @@ proptest! {
         };
         assert_trace_matches(&stats, &trace, "expanded");
         // The expansion lists exactly `blocks` entries, each pointing at a
-        // class whose multiplicity it contributes to.
+        // class of its own shape whose multiplicity it contributes to.
         prop_assert_eq!(trace.blocks.len() as u64, stats.blocks);
         let mut per_class = vec![0u64; trace.classes.len()];
         for block in &trace.blocks {
             prop_assert!(block.class < trace.classes.len());
+            let class = &trace.classes[block.class];
+            prop_assert_eq!(
+                (class.b, class.z, class.y, class.x),
+                (block.b, block.z, block.y, block.x)
+            );
             per_class[block.class] += 1;
         }
         for (class, &count) in trace.classes.iter().zip(&per_class) {

@@ -5,7 +5,7 @@
 use clb::bound::OnChipMemory;
 use clb::model::{ConvLayer, Padding};
 use clb::pebble;
-use clb::sim::ArchConfig;
+use clb::sim::{ArchConfig, TraceOptions};
 use proptest::prelude::*;
 
 fn small_layer() -> ConvLayer {
@@ -111,6 +111,36 @@ fn bounded_layers() -> impl Strategy<Value = ConvLayer> {
         })
 }
 
+/// Architectures over the axes of the benchmark's DSE grid (PE 8–32 ×
+/// 8–32, group rows 1–2, LReg 16–128 entries per PE, IGBuf 256–1,600,
+/// WGBuf 256 or 1,024; the rest as implementation 1), kept when they
+/// validate.
+fn sweep_archs() -> impl Strategy<Value = ArchConfig> {
+    (
+        8usize..=32,
+        8usize..=32,
+        1usize..=2,
+        16usize..=128,
+        256usize..=1600,
+        prop::bool::ANY,
+    )
+        .prop_filter_map(
+            "arch must validate",
+            |(pe_rows, pe_cols, group_rows, lreg, igbuf, big_wgbuf)| {
+                let arch = ArchConfig {
+                    pe_rows,
+                    pe_cols,
+                    group_rows,
+                    lreg_entries_per_pe: lreg,
+                    igbuf_entries: igbuf,
+                    wgbuf_entries: if big_wgbuf { 1024 } else { 256 },
+                    ..ArchConfig::implementation(1)
+                };
+                arch.validate().is_ok().then_some(arch)
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -134,6 +164,30 @@ proptest! {
         prop_assert!(
             bound <= simulated,
             "implementation {implem}, {layer:?}: bound {bound} > simulated {simulated}"
+        );
+    }
+
+    /// The same on custom architectures from the DSE grid's axes, where
+    /// the traced simulation of the planned tiling must also reproduce the
+    /// untraced stats.
+    #[test]
+    fn simulated_dram_on_custom_archs_never_beats_theorem2(
+        layer in bounded_layers(),
+        arch in sweep_archs(),
+    ) {
+        let bound = pebble::theorem2_q_lower(&layer, arch.effective_onchip_words() as u64);
+        prop_assume!(bound > 0);
+        let tiling = clb::core::plan_for_arch(&layer, &arch);
+        prop_assume!(tiling.is_ok());
+        let tiling = tiling.unwrap();
+        let stats = clb::sim::simulate(&layer, &tiling, &arch).unwrap();
+        let (traced, _) =
+            clb::sim::simulate_traced(&layer, &tiling, &arch, &TraceOptions::default()).unwrap();
+        prop_assert_eq!(&traced, &stats);
+        let simulated = stats.dram.total_words();
+        prop_assert!(
+            bound <= simulated,
+            "{arch:?}, {layer:?}: bound {bound} > simulated {simulated}"
         );
     }
 }
