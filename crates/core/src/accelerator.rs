@@ -9,7 +9,7 @@ use dataflow::Tiling;
 use energy_model::EnergyParams;
 
 use crate::energy::energy_of;
-use crate::planner::plan_for_arch;
+use crate::planner::{plan_for_arch, planned_simulation};
 use crate::report::{LayerReport, NetworkReport};
 
 /// A configured instance of the communication-optimal accelerator.
@@ -83,35 +83,35 @@ impl Accelerator {
         plan_for_arch(layer, &self.arch)
     }
 
-    /// Simulates a layer under its planned tiling.
+    /// Simulates a layer under its planned tiling. The stats come from the
+    /// plan memo with the tiling, so a warm layer is not simulated again.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] (cannot occur for tilings from [`Self::plan`]).
+    /// Propagates [`SimError`] from planning (see [`plan_for_arch`]).
     pub fn simulate(&self, layer: &ConvLayer) -> Result<SimStats, SimError> {
-        let tiling = self.plan(layer)?;
-        accel_sim::simulate(layer, &tiling, &self.arch)
+        planned_simulation(layer, &self.arch).map(|(_, stats)| stats)
     }
 
-    /// Full analysis of one layer: plan, simulate, bound, energy.
+    /// Full analysis of one layer: plan, simulate, bound, energy. The
+    /// tiling and its stats are one plan-memo lookup.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`].
     pub fn analyze_layer(&self, name: &str, layer: &ConvLayer) -> Result<LayerReport, SimError> {
-        self.analyze_with(name, layer, |tiling| {
-            Ok((accel_sim::simulate(layer, tiling, &self.arch)?, ()))
-        })
-        .map(|(report, ())| report)
+        let (tiling, stats) = planned_simulation(layer, &self.arch)?;
+        Ok(self.layer_report(name, layer, tiling, stats))
     }
 
     /// Full analysis of one layer plus an execution trace of its planned
     /// simulation (see [`accel_sim::trace`]).
     ///
     /// The trace rides the exact simulation the report describes — the
-    /// planned tiling is simulated once, traced — so the report's
-    /// `stats` and the trace's interval sums are bit-identical by the
-    /// simulator's construction.
+    /// planned tiling is simulated traced — so the report's `stats` and
+    /// the trace's interval sums are bit-identical by the simulator's
+    /// construction. A cold plan is therefore simulated twice: once
+    /// untraced to fill the plan memo, once traced.
     ///
     /// # Errors
     ///
@@ -124,35 +124,30 @@ impl Accelerator {
         layer: &ConvLayer,
         options: &accel_sim::TraceOptions,
     ) -> Result<(LayerReport, accel_sim::ExecutionTrace), SimError> {
-        self.analyze_with(name, layer, |tiling| {
-            accel_sim::simulate_traced(layer, tiling, &self.arch, options)
-        })
+        let tiling = self.plan(layer)?;
+        let (stats, trace) = accel_sim::simulate_traced(layer, &tiling, &self.arch, options)?;
+        Ok((self.layer_report(name, layer, tiling, stats), trace))
     }
 
-    /// The one plan → simulate → energy → bound body of both layer
-    /// analyses; `simulate` runs the planned tiling and returns the stats
-    /// with whatever else it recorded.
-    fn analyze_with<T>(
+    /// The energy → bound tail of both layer analyses, over a planned
+    /// tiling and its stats.
+    fn layer_report(
         &self,
         name: &str,
         layer: &ConvLayer,
-        simulate: impl FnOnce(&Tiling) -> Result<(SimStats, T), SimError>,
-    ) -> Result<(LayerReport, T), SimError> {
-        let tiling = self.plan(layer)?;
-        let (stats, recorded) = simulate(&tiling)?;
+        tiling: Tiling,
+        stats: SimStats,
+    ) -> LayerReport {
         let energy = energy_of(&stats, &self.arch, &self.energy_params);
         let bounds = BoundSummary::of(layer, accel_sim::effective_memory(&self.arch));
-        Ok((
-            LayerReport {
-                name: name.to_string(),
-                layer: *layer,
-                tiling,
-                stats,
-                energy,
-                bounds,
-            },
-            recorded,
-        ))
+        LayerReport {
+            name: name.to_string(),
+            layer: *layer,
+            tiling,
+            stats,
+            energy,
+            bounds,
+        }
     }
 
     /// Full analysis of a network (the Fig. 14–20 pipeline).

@@ -13,9 +13,10 @@
 //!   candidate's cheap layers.
 //!
 //! Both amortize planning through the process-wide `(layer, arch)` plan
-//! cache — a warm re-sweep is cache hits plus cheap class-based simulation,
-//! and layers that repeat inside a network (VGG-16 has several identical
-//! geometries) are planned once per candidate.
+//! cache, which holds each planned tiling with its simulated stats — a
+//! warm re-sweep is one cache hit per (candidate, layer), and layers that
+//! repeat inside a network (VGG-16 has several identical geometries) are
+//! planned and simulated once per candidate.
 //!
 //! Results are **enumeration-order independent**: duplicate configurations
 //! are collapsed (by [`ArchConfig::cache_key`]) and the output is sorted by
@@ -27,8 +28,13 @@
 //! produce, which is what pins each sweep bit-identical to a serial
 //! per-candidate oracle loop. The dedup, the sort key and the entry shape
 //! are shared between the two modes, so they cannot drift.
+//!
+//! The staged sweeps ([`staged_sweep_archs`], [`staged_sweep_archs_network`])
+//! dedup and order their candidates once, up front. The survivors of each
+//! chunk are then evaluated in place: one entry per survivor, in survivor
+//! order, handed straight to the frontier with no second dedup or sort.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use accel_sim::{ArchCacheKey, ArchConfig, SimError};
 use comm_bound::filter::FloorCache;
@@ -107,22 +113,6 @@ fn dedup_candidates(candidates: &[ArchConfig]) -> Vec<ArchConfig> {
     unique
 }
 
-/// Pairs each candidate with its outcome and applies the canonical order,
-/// [`Objective::Cycles`] — the shared tail of both sweep modes.
-fn canonical_entries<R: SweepCost>(
-    archs: Vec<ArchConfig>,
-    outcomes: Vec<Result<R, SimError>>,
-) -> Vec<ArchSweepEntry<R>> {
-    debug_assert_eq!(archs.len(), outcomes.len());
-    let mut entries: Vec<ArchSweepEntry<R>> = archs
-        .into_iter()
-        .zip(outcomes)
-        .map(|(arch, outcome)| ArchSweepEntry { arch, outcome })
-        .collect();
-    entries.sort_by_key(|entry| objective_key(entry, Objective::Cycles));
-    entries
-}
-
 /// Evaluates `layer` on every distinct candidate architecture, in parallel,
 /// returning canonically-ordered per-candidate results.
 ///
@@ -140,11 +130,22 @@ pub fn sweep_archs(
     layer: &ConvLayer,
     candidates: &[ArchConfig],
 ) -> Vec<ArchSweepEntry> {
-    let unique = dedup_candidates(candidates);
-    let outcomes = rayon::par_map(&unique, |arch| {
+    let mut entries = layer_entries(name, layer, &dedup_candidates(candidates));
+    entries.sort_by_key(|entry| objective_key(entry, Objective::Cycles));
+    entries
+}
+
+/// Evaluates `layer` on each of `archs`, fanned across threads: one entry
+/// per candidate, in candidate order.
+fn layer_entries(name: &str, layer: &ConvLayer, archs: &[ArchConfig]) -> Vec<ArchSweepEntry> {
+    let outcomes = rayon::par_map(archs, |arch| {
         Accelerator::new(*arch).analyze_layer(name, layer)
     });
-    canonical_entries(unique, outcomes)
+    archs
+        .iter()
+        .zip(outcomes)
+        .map(|(&arch, outcome)| ArchSweepEntry { arch, outcome })
+        .collect()
 }
 
 /// Evaluates `network` on every distinct candidate architecture, returning
@@ -166,18 +167,26 @@ pub fn sweep_archs_network(
     network: &Network,
     candidates: &[ArchConfig],
 ) -> Vec<ArchSweepEntry<NetworkReport>> {
-    let unique = dedup_candidates(candidates);
+    let mut entries = network_entries(network, &dedup_candidates(candidates));
+    entries.sort_by_key(|entry| objective_key(entry, Objective::Cycles));
+    entries
+}
+
+/// Evaluates `network` on each of `archs` as flat `(candidate × layer)`
+/// units fanned across threads: one entry per candidate, in candidate
+/// order.
+fn network_entries(network: &Network, archs: &[ArchConfig]) -> Vec<ArchSweepEntry<NetworkReport>> {
     let layers: Vec<&NamedLayer> = network.conv_layers().collect();
-    let units: Vec<(usize, usize)> = (0..unique.len())
+    let units: Vec<(usize, usize)> = (0..archs.len())
         .flat_map(|c| (0..layers.len()).map(move |l| (c, l)))
         .collect();
     let results = rayon::par_map(&units, |&(c, l)| {
-        Accelerator::new(unique[c]).analyze_layer(&layers[l].name, &layers[l].layer)
+        Accelerator::new(archs[c]).analyze_layer(&layers[l].name, &layers[l].layer)
     });
     let mut results = results.into_iter();
-    let outcomes: Vec<Result<NetworkReport, SimError>> = unique
+    archs
         .iter()
-        .map(|arch| {
+        .map(|&arch| {
             // This candidate's slice of the flat unit list, in layer order.
             let mut reports = Vec::with_capacity(layers.len());
             let mut first_error: Option<SimError> = None;
@@ -187,17 +196,17 @@ pub fn sweep_archs_network(
                     Err(e) => first_error = first_error.or(Some(e)),
                 }
             }
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-            Ok(NetworkReport::from_layer_reports(
-                network.name(),
-                reports,
-                arch.core_freq_hz,
-            ))
+            let outcome = match first_error {
+                Some(e) => Err(e),
+                None => Ok(NetworkReport::from_layer_reports(
+                    network.name(),
+                    reports,
+                    arch.core_freq_hz,
+                )),
+            };
+            ArchSweepEntry { arch, outcome }
         })
-        .collect();
-    canonical_entries(unique, outcomes)
+        .collect()
 }
 
 /// Ranking objective of a staged sweep.
@@ -621,9 +630,10 @@ impl<R: SweepCost> Frontier<R> {
 /// floor key (cheapest floor first, most likely to anchor the frontier
 /// early; provably infeasible candidates last), prune against the
 /// frontier, evaluate survivors in geometrically growing chunks through
-/// `eval` (which fans across threads), and merge serially — so the pruned
-/// count and every frontier snapshot are deterministic for a given
-/// candidate set, independent of thread scheduling.
+/// `eval` (which fans across threads and returns one entry per survivor,
+/// in survivor order), and merge serially — so the pruned count and every
+/// frontier snapshot are deterministic for a given candidate set,
+/// independent of thread scheduling.
 fn staged_engine<R: SweepCost>(
     unique: Vec<ArchConfig>,
     bounds: Vec<CandidateBound>,
@@ -635,7 +645,7 @@ fn staged_engine<R: SweepCost>(
     debug_assert_eq!(unique.len(), bounds.len());
     let keys: Vec<ArchCacheKey> = unique.iter().map(ArchConfig::cache_key).collect();
     let mut order: Vec<usize> = (0..unique.len()).collect();
-    order.sort_by_key(|&i| bounds[i].floor_key(objective, keys[i]));
+    order.sort_by_cached_key(|&i| bounds[i].floor_key(objective, keys[i]));
 
     let mut frontier = Frontier::new(objective, top_k);
     let mut pruned = 0u64;
@@ -652,18 +662,14 @@ fn staged_engine<R: SweepCost>(
             if frontier.can_prune(&bounds[i], keys[i]) {
                 pruned += 1;
             } else {
-                survivors.push(i);
+                survivors.push(unique[i]);
             }
         }
-        let archs: Vec<ArchConfig> = survivors.iter().map(|&i| unique[i]).collect();
-        evaluated += archs.len() as u64;
-        let mut by_key: HashMap<ArchCacheKey, ArchSweepEntry<R>> = eval(&archs)
-            .into_iter()
-            .map(|e| (e.arch.cache_key(), e))
-            .collect();
+        evaluated += survivors.len() as u64;
+        let entries = eval(&survivors);
+        assert_eq!(entries.len(), survivors.len(), "one result per survivor");
         let mut changed = false;
-        for &i in &survivors {
-            let entry = by_key.remove(&keys[i]).expect("one result per survivor");
+        for entry in entries {
             changed |= frontier.insert(entry);
         }
         processed += chunk.len();
@@ -705,7 +711,7 @@ pub fn staged_sweep_archs(
         bounds,
         objective,
         top_k,
-        |archs| sweep_archs(name, layer, archs),
+        |archs| layer_entries(name, layer, archs),
         progress,
     )
 }
@@ -732,7 +738,7 @@ pub fn staged_sweep_archs_network(
         bounds,
         objective,
         top_k,
-        |archs| sweep_archs_network(network, archs),
+        |archs| network_entries(network, archs),
         progress,
     )
 }

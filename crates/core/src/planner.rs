@@ -26,15 +26,19 @@
 //! Results are memoized process-wide in a bounded [`Memo`] keyed by
 //! `(layer shape, architecture)` — the same type as the abstract search's
 //! memo cache — so long-running embedders (the analysis service's
-//! `/v1/plan` and `/v1/network`) replan a given layer × implementation
-//! once, not per cold request; concurrent identical misses wait for one
-//! sweep. [`plan_cache_stats`], [`set_plan_cache_capacity`] and
+//! `/v1/plan`, `/v1/network` and `/v1/dse`) replan a given layer ×
+//! implementation once, not per cold request; concurrent identical misses
+//! wait for one sweep. An entry holds the planned tiling together with its
+//! [`accel_sim::simulate`] stats, computed once inside the miss's flight:
+//! the stats are a pure function of the key, so a warm
+//! [`crate::Accelerator::analyze_layer`] is one lookup and no simulation.
+//! [`plan_cache_stats`], [`set_plan_cache_capacity`] and
 //! [`clear_plan_cache`] expose, bound and reset the cache.
 
 use std::sync::LazyLock;
 
 use accel_sim::mapping::{block_fits, map_block, Block, RowGrids};
-use accel_sim::{ArchCacheKey, ArchConfig};
+use accel_sim::{ArchCacheKey, ArchConfig, SimError, SimStats};
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
 use dataflow::engine::search_ours_with;
@@ -82,11 +86,14 @@ struct PlanKey {
 }
 
 /// Default bound on the planner memo cache. Entries are a few hundred bytes
-/// (a key plus a `Result<Tiling, SimError>`), and real workloads plan at
-/// most a few hundred distinct layer × architecture pairs.
+/// (a key plus a 208-byte `Result<(Tiling, SimStats), SimError>`; the
+/// stats add 144 bytes to an entry, at most ~0.6 MB over 4,096 entries),
+/// and real workloads plan at most a few hundred distinct layer ×
+/// architecture pairs.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 4096;
 
-type PlanResult = Result<Tiling, accel_sim::SimError>;
+/// A planned tiling and its simulated stats, or why the layer has no plan.
+type PlanResult = Result<(Tiling, SimStats), SimError>;
 
 static PLANS: LazyLock<Memo<PlanKey, PlanResult>> =
     LazyLock::new(|| Memo::new(DEFAULT_PLAN_CACHE_CAPACITY));
@@ -119,32 +126,42 @@ pub fn set_plan_cache_capacity(capacity: usize) {
 /// Results (errors included — they are deterministic) are memoized in a
 /// process-wide bounded LRU keyed by `(layer shape, architecture)`, with
 /// concurrent identical misses coalesced onto one sweep, so warm planning
-/// is a hash lookup for any embedder.
+/// is a hash lookup for any embedder. A miss also simulates the planned
+/// tiling once, for the memo, so a warm
+/// [`crate::Accelerator::analyze_layer`] simulates nothing.
 ///
 /// # Errors
 ///
-/// Returns [`accel_sim::SimError::InvalidArch`] when `arch` fails its
-/// structural invariants, and other [`accel_sim::SimError`]s when no tiling
-/// fits — e.g. a layer whose single sliding window (`Hk×Wk` inputs) already
-/// exceeds the IGBuf or the GReg segments, such as the weight-gradient
-/// convolution of a large feature map. Such layers need a different
-/// blocking than the Fig. 7 dataflow provides.
-pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, accel_sim::SimError> {
-    arch.validate().map_err(accel_sim::SimError::InvalidArch)?;
+/// Returns [`SimError::InvalidArch`] when `arch` fails its structural
+/// invariants, and other [`SimError`]s when no tiling fits — e.g. a layer
+/// whose single sliding window (`Hk×Wk` inputs) already exceeds the IGBuf
+/// or the GReg segments, such as the weight-gradient convolution of a
+/// large feature map. Such layers need a different blocking than the
+/// Fig. 7 dataflow provides.
+pub fn plan_for_arch(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, SimError> {
+    planned_simulation(layer, arch).map(|(tiling, _)| tiling)
+}
+
+/// [`plan_for_arch`] together with [`accel_sim::simulate`] of the planned
+/// tiling, from one memo lookup: a miss plans and simulates once inside
+/// its flight, a hit simulates nothing. The planner only returns tilings
+/// that pass every check the simulator makes, so the simulation cannot
+/// fail and the memo holds only the planner's own errors.
+pub(crate) fn planned_simulation(layer: &ConvLayer, arch: &ArchConfig) -> PlanResult {
+    arch.validate().map_err(SimError::InvalidArch)?;
     let key = PlanKey {
         layer: *layer,
         arch: arch.cache_key(),
     };
-    PLANS
-        .get_or_compute(key, || plan_for_arch_uncached(layer, arch), |_| true)
-        .0
+    let plan_and_simulate = || {
+        let tiling = plan_for_arch_uncached(layer, arch)?;
+        Ok((tiling, accel_sim::simulate(layer, &tiling, arch)?))
+    };
+    PLANS.get_or_compute(key, plan_and_simulate, |_| true).0
 }
 
 /// The actual planning sweep behind [`plan_for_arch`].
-fn plan_for_arch_uncached(
-    layer: &ConvLayer,
-    arch: &ArchConfig,
-) -> Result<Tiling, accel_sim::SimError> {
+fn plan_for_arch_uncached(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, SimError> {
     let mem = OnChipMemory::from_words(arch.effective_onchip_words() as f64);
     let tables = LayerTables::new(layer);
 
@@ -177,14 +194,14 @@ fn plan_for_arch_uncached(
             let unit = Tiling::clamped(layer, 1, 1, 1, 1);
             let (xh, yh) = layer.input_footprint(unit.x, unit.y);
             if xh * yh > arch.igbuf_entries {
-                Err(accel_sim::SimError::InputTileTooLarge {
+                Err(SimError::InputTileTooLarge {
                     needed: xh * yh,
                     capacity: arch.igbuf_entries,
                 })
             } else {
                 match map_block(arch, layer, &full_block(&unit)) {
-                    Err(e) => Err(accel_sim::SimError::Unmappable(e)),
-                    Ok(_) => Err(accel_sim::SimError::WeightTileTooLarge {
+                    Err(e) => Err(SimError::Unmappable(e)),
+                    Ok(_) => Err(SimError::WeightTileTooLarge {
                         z: 1,
                         capacity: arch.wgbuf_entries,
                     }),

@@ -11,9 +11,13 @@
 //!   `map_block(..).is_ok()` on random blocks.
 //! * **Down-closure** — every smaller block of a block that maps also
 //!   maps, which is what makes ending an x-run lossless.
+//! * **Memoized stats** — the stats the plan memo hands
+//!   [`Accelerator::analyze_layer`], cold or warm, are a fresh
+//!   `accel_sim::simulate` of the planned tiling, and a memoized error is
+//!   one the reference planner gives too.
 
 use accel_sim::mapping::{block_fits, map_block, Block, RowGrids};
-use clb_core::{plan_for_arch, tiling_feasible, ArchConfig, OnChipMemory, SimError};
+use clb_core::{plan_for_arch, tiling_feasible, Accelerator, ArchConfig, OnChipMemory, SimError};
 use conv_model::ConvLayer;
 use dataflow::{our_dataflow_traffic, paper_tiling, LayerTables, Tiling};
 use proptest::prelude::*;
@@ -152,6 +156,35 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn memoized_stats_are_a_fresh_simulation(layer in layer_strategy(), arch in arch_strategy()) {
+        // Two analyses: one of them fills the memo (unless an earlier draw
+        // did) and the other hits it; neither may tell.
+        let acc = Accelerator::new(arch);
+        let analyses = [acc.analyze_layer("layer", &layer), acc.analyze_layer("layer", &layer)];
+        match plan_for_arch(&layer, &arch) {
+            Ok(tiling) => {
+                // Every planned tiling simulates; the memo keeps its stats.
+                let fresh = accel_sim::simulate(&layer, &tiling, &arch);
+                prop_assert!(fresh.is_ok(), "{} on {:?}: {:?}", layer, arch, fresh);
+                let fresh = fresh.unwrap();
+                for analysis in analyses {
+                    let report = analysis.unwrap();
+                    prop_assert_eq!(report.tiling, tiling);
+                    // `Debug` prints each float in its shortest round-trip
+                    // form, so equal strings are equal bits.
+                    prop_assert_eq!(format!("{:?}", report.stats), format!("{:?}", fresh));
+                }
+            }
+            Err(e) => {
+                prop_assert_eq!(&Err(e.clone()), &exhaustive_plan(&layer, &arch));
+                for analysis in analyses {
+                    prop_assert_eq!(analysis.unwrap_err(), e.clone());
+                }
+            }
+        }
+    }
 
     #[test]
     fn block_fits_agrees_with_map_block(

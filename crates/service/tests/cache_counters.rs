@@ -29,9 +29,20 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
     (status.expect("a status code"), body.to_string())
 }
 
-fn post(addr: SocketAddr, path: &str, body: &str) {
+/// A `POST` that must succeed; returns the response body.
+fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     let (status, response) = request(addr, "POST", path, body);
     assert_eq!(status, 200, "{path} {body}: {response}");
+    response
+}
+
+/// A numeric top-level field of a JSON response body.
+fn count(body: &str, field: &str) -> u64 {
+    let value: serde_json::Value = serde_json::from_str(body).expect("a JSON body");
+    let number = value
+        .get_field(field)
+        .and_then(serde_json::Value::as_number);
+    number.unwrap_or_else(|e| panic!("{field} in {body}: {e}")) as u64
 }
 
 fn stats(addr: SocketAddr) -> CacheStatsResponse {
@@ -84,6 +95,33 @@ fn a_known_request_mix_moves_each_counter_by_its_exact_value() {
     let networked = stats(addr);
     assert_eq!(delta(&planned.plan, &networked.plan), (2, 1, 0));
 
+    // A staged sweep looks up one plan per evaluated candidate: a pruned
+    // one costs no lookup. The grid varies only the PE array and the LReg,
+    // so every candidate has the same DRAM floor and the traffic order of
+    // the floors is the cycles order; the traffic sweep then evaluates
+    // candidates the cycles sweep planned, and hits on every one.
+    let staged = |objective: &str| {
+        format!(
+            r#"{{"co":32,"size":14,"ci":16,"batch":1,"objective":"{objective}","top_k":1,
+            "grid":{{"pe_rows":[8,16,32],"pe_cols":[8,16,32],"lreg_entries_per_pe":[16,64]}}}}"#
+        )
+    };
+    let by_cycles = post(addr, "/v1/dse", &staged("cycles"));
+    let evaluated = count(&by_cycles, "evaluated");
+    assert!(count(&by_cycles, "pruned") > 0, "{by_cycles}");
+    let swept_cycles = stats(addr);
+    assert_eq!(
+        delta(&networked.plan, &swept_cycles.plan),
+        (0, evaluated, 0)
+    );
+    let by_traffic = post(addr, "/v1/dse", &staged("traffic"));
+    let evaluated = count(&by_traffic, "evaluated");
+    let swept_traffic = stats(addr);
+    assert_eq!(
+        delta(&swept_cycles.plan, &swept_traffic.plan),
+        (evaluated, 0, 0)
+    );
+
     // Four clients send one new body at once: one computes it, and the
     // other three are answered by the response memo, cached or coalesced.
     let start = Barrier::new(4);
@@ -97,6 +135,6 @@ fn a_known_request_mix_moves_each_counter_by_its_exact_value() {
     });
     let burst = stats(addr);
     let shared = |s: &CacheStatsResponse| s.service.responses_cached + s.service.coalesced;
-    assert_eq!(shared(&burst) - shared(&networked), 3);
+    assert_eq!(shared(&burst) - shared(&swept_traffic), 3);
     server.shutdown().unwrap();
 }

@@ -150,16 +150,25 @@ impl std::fmt::Display for MapError {
 impl std::error::Error for MapError {}
 
 /// The row-grid factorisations `(pb, py, px)` of `p` PE rows, `pb` then
-/// `py` ascending. Lazy, so [`map_block`] allocates nothing.
+/// `py` ascending. Lazy, so [`map_block`] allocates nothing. The order
+/// matters: [`map_block`] keeps the first of equal-cost mappings.
 fn factor_triples(p: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    (1..=p)
-        .filter(move |pb| p.is_multiple_of(*pb))
-        .flat_map(move |pb| {
-            let rest = p / pb;
-            (1..=rest)
-                .filter(move |py| rest.is_multiple_of(*py))
-                .map(move |py| (pb, py, rest / py))
-        })
+    divisors(p).flat_map(move |pb| {
+        let rest = p / pb;
+        divisors(rest).map(move |py| (pb, py, rest / py))
+    })
+}
+
+/// The divisors of `n`, ascending, by trial division up to `√n`: the small
+/// divisors on the way up, then their cofactors on the way back down.
+fn divisors(n: usize) -> impl Iterator<Item = usize> {
+    let root = n.isqrt();
+    let small = (1..=root).filter(move |d| n.is_multiple_of(*d));
+    let large = (1..=root)
+        .rev()
+        .filter(move |d| n.is_multiple_of(*d) && d * d != n)
+        .map(move |d| n / d);
+    small.chain(large)
 }
 
 /// The row-grid factorisations of one PE-row count, enumerated once so a
@@ -348,6 +357,24 @@ mod tests {
         // 256 channels (zs=16) × a huge plane cannot fit 128 LRegs/PE.
         let err = map_block(&arch, &layer(), &block(3, 256, 56, 56)).unwrap_err();
         assert!(matches!(err, MapError::LregOverflow { .. }), "{err}");
+    }
+
+    #[test]
+    fn divisor_walk_matches_the_naive_scan_up_to_the_cap() {
+        // The scan the walk replaced: every candidate divisor, in order.
+        let naive = |p: usize| {
+            let mut triples = Vec::new();
+            for pb in (1..=p).filter(|pb| p.is_multiple_of(*pb)) {
+                let rest = p / pb;
+                for py in (1..=rest).filter(|py| rest.is_multiple_of(*py)) {
+                    triples.push((pb, py, rest / py));
+                }
+            }
+            triples
+        };
+        for p in 1..=crate::caps::MAX_PE_DIM {
+            assert!(factor_triples(p).eq(naive(p)), "{p} rows");
+        }
     }
 
     #[test]
