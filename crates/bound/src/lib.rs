@@ -37,10 +37,8 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod filter;
 pub mod hierarchy;
 
-pub use filter::{DramFloor, FloorCache, LayerFloor};
 pub use hierarchy::{HierarchyBounds, HierarchyGaps, Level, MeasuredTraffic};
 
 use conv_model::{ConvLayer, BYTES_PER_WORD};

@@ -37,9 +37,9 @@
 use std::collections::BTreeMap;
 
 use accel_sim::{ArchCacheKey, ArchConfig, SimError};
-use comm_bound::filter::FloorCache;
 use conv_model::workloads::{NamedLayer, Network};
 use conv_model::ConvLayer;
+use dataflow::FloorCache;
 use energy_model::{reg_access_pj, table, EnergyParams};
 
 use crate::accelerator::Accelerator;
@@ -414,7 +414,7 @@ impl CandidateBound {
 /// geometry cost a hash lookup each.
 ///
 /// The floors compose the structural DRAM floor
-/// ([`comm_bound::filter::LayerFloor`]) with simulator identities. A
+/// ([`dataflow::LayerFloor`]) with simulator identities. A
 /// layer's cycles are at least `⌈MACs / PEs⌉` (compute) and at least
 /// `reads / link words-per-cycle + DRAM latency` (transfer). Its energy,
 /// under the default [`EnergyParams`] every sweep evaluates with, is at

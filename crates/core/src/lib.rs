@@ -61,8 +61,7 @@ pub use dse::{
     StagedProgress, SweepCost,
 };
 pub use planner::{
-    clear_plan_cache, plan_cache_stats, plan_for_arch, set_plan_cache_capacity, tiling_feasible,
-    DEFAULT_PLAN_CACHE_CAPACITY,
+    clear_plan_cache, plan_cache_stats, plan_for_arch, tiling_feasible, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use report::{LayerReport, NetworkReport};
 

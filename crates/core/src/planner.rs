@@ -1,6 +1,6 @@
 //! Tiling planner for a concrete accelerator implementation.
 //!
-//! The abstract dataflow planner ([`dataflow::plan_tiling`]) only respects
+//! The abstract dataflow search ([`dataflow::search_ours`]) only respects
 //! the total effective memory `S`. A real implementation adds *structural*
 //! constraints (Section V): the Psum block must fit the LReg files through a
 //! feasible PE mapping, the per-channel weight row must fit the WGBuf, and
@@ -11,7 +11,8 @@
 //! The sweep *is* the dataflow crate's search engine
 //! ([`search_ours_with`]), instantiated with this module's feasibility
 //! predicates: traffic is evaluated through precomputed [`LayerTables`],
-//! the `(b, z)` outer product fans out across threads, the IGBuf/WGBuf
+//! built once per plan and shared with the [`paper_tiling`] seed, the
+//! `(b, z)` outer product fans out across threads, the IGBuf/WGBuf
 //! constraints (monotone in their parameters) break candidate loops early,
 //! and the PE-array mapping check only runs for candidates that could still
 //! beat the best feasible tiling found so far. That check is
@@ -32,8 +33,8 @@
 //! [`accel_sim::simulate`] stats, computed once inside the miss's flight:
 //! the stats are a pure function of the key, so a warm
 //! [`crate::Accelerator::analyze_layer`] is one lookup and no simulation.
-//! [`plan_cache_stats`], [`set_plan_cache_capacity`] and
-//! [`clear_plan_cache`] expose, bound and reset the cache.
+//! [`plan_cache_stats`] and [`clear_plan_cache`] expose and reset the
+//! cache.
 
 use std::sync::LazyLock;
 
@@ -85,7 +86,7 @@ struct PlanKey {
     arch: ArchCacheKey,
 }
 
-/// Default bound on the planner memo cache. Entries are a few hundred bytes
+/// The bound on the planner memo cache. Entries are a few hundred bytes
 /// (a key plus a 208-byte `Result<(Tiling, SimStats), SimError>`; the
 /// stats add 144 bytes to an entry, at most ~0.6 MB over 4,096 entries),
 /// and real workloads plan at most a few hundred distinct layer ×
@@ -107,15 +108,9 @@ pub fn plan_cache_stats() -> dataflow::CacheStats {
 }
 
 /// Empties the planner memo cache and resets its counters (benchmarks use
-/// this for cold timings). The LRU capacity is kept.
+/// this for cold timings).
 pub fn clear_plan_cache() {
     PLANS.clear();
-}
-
-/// Bounds the planner memo cache to `capacity` entries (clamped to ≥ 1),
-/// evicting least-recently-used entries immediately if it is already over.
-pub fn set_plan_cache_capacity(capacity: usize) {
-    PLANS.set_capacity(capacity);
 }
 
 /// Chooses the DRAM-minimal tiling of the paper's dataflow that is feasible
@@ -178,9 +173,8 @@ fn plan_for_arch_uncached(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling
     let grids = RowGrids::new(arch.pe_rows);
     let mappable = |t: &Tiling| block_fits(arch, layer, &grids, &full_block(t));
     let best = search_ours_with(
-        layer,
         &tables,
-        Some(paper_tiling(layer, mem)),
+        Some(paper_tiling(&tables, mem)),
         Some(arch.wgbuf_entries),
         monotone_fits,
         mappable,

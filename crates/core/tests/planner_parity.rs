@@ -41,8 +41,8 @@ fn exhaustive_plan(layer: &ConvLayer, arch: &ArchConfig) -> Result<Tiling, SimEr
         }
     };
     let mem = OnChipMemory::from_words(arch.effective_onchip_words() as f64);
-    offer(paper_tiling(layer, mem));
     let grid = LayerTables::new(layer);
+    offer(paper_tiling(&grid, mem));
     for b in 1..=layer.batch() {
         for &z in grid.z_candidates_dense() {
             for &y in grid.y_candidates_dense() {

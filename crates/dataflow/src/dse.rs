@@ -15,8 +15,7 @@
 use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
 
-use crate::engine::{BestTracker, Candidate, LayerTables};
-use crate::search::search_ours;
+use crate::engine::{search_ours, BestTracker, Candidate, LayerTables};
 use crate::tiling::Tiling;
 use crate::traffic::DramTraffic;
 

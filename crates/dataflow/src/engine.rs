@@ -13,7 +13,12 @@
 //!   and `tile_count` are functions of *one* axis's tile size only, so they
 //!   are precomputed once per layer for every tile size `1..=dim`. The inner
 //!   traffic evaluation then is a handful of u64 multiplies. The tables are
-//!   dense (not just the candidate grid) so random-sampling DSE reuses them.
+//!   dense (not just the candidate grid) so random-sampling DSE reuses them,
+//!   and the staged DSE's DRAM floors ([`crate::filter`]) read the same
+//!   axis tables. Every search takes its layer's tables from the caller:
+//!   one [`LayerTables`] per layer serves a sweep's eight dataflow searches
+//!   ([`search_all`]), and the planner's structural search plus its
+//!   [`paper_tiling`] seed.
 //! * **Pruning**: `onchip_words` of every dataflow is monotone
 //!   nondecreasing in each of its parameters (`b/z/k/y/x`), so each sorted
 //!   candidate loop breaks at the first infeasible point. On top of that
@@ -38,11 +43,11 @@
 //!   networks repeat layer shapes, and the figure benches re-analyze the
 //!   same network at many memory sizes, so across a bench run most searches
 //!   are cache hits. The cache is a process-wide [`Memo`]: an LRU bounded
-//!   to [`DEFAULT_SEARCH_CACHE_CAPACITY`] entries (tunable with
-//!   [`set_search_cache_capacity`]) so long-running servers embedding the
-//!   engine cannot grow it without bound, on which concurrent identical
-//!   misses wait for one computation.
-//!   [`cache_stats`]/[`clear_search_cache`] expose and reset the cache.
+//!   to [`DEFAULT_SEARCH_CACHE_CAPACITY`] entries, so long-running servers
+//!   embedding the engine cannot grow it without bound, on which concurrent
+//!   identical misses wait for one computation. A lookup that hits builds
+//!   no tables. [`cache_stats`]/[`clear_search_cache`] expose and reset the
+//!   cache.
 //!
 //! # Determinism and tie-breaking
 //!
@@ -53,8 +58,9 @@
 //! which is what lets the engine prune, parallelize and still return
 //! bit-identical [`DataflowChoice`]s to the naive quadruple loop — a
 //! property the `engine_parity` integration tests pin across all eight
-//! dataflow kinds.
+//! dataflow kinds. Between dataflows, [`search_all`] alone breaks ties.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
@@ -150,21 +156,25 @@ impl BestTracker {
 // ---------------------------------------------------------------------------
 
 /// Per-axis lookup tables for one spatial axis of one layer: for every tile
-/// size `t` in `1..=out_dim`, the summed clipped input extent `Σx''(t)`, the
-/// tile count `⌈dim/t⌉` and the halo footprint `stride·(t−1) + kernel`.
+/// size `t` in `1..=out_dim`, the summed clipped input extent `Σx''(t)` (the
+/// `sum_x`/`sum_y` factor of Eq. 14), its running minimum over the tile
+/// sizes up to `t`, the tile count `⌈dim/t⌉` and the halo footprint
+/// `stride·(t−1) + kernel`.
 ///
 /// Built in `O(dim · H(dim)) ≈ O(dim log dim)` and turning every inner-loop
-/// traffic evaluation into table lookups plus multiplies.
+/// traffic evaluation, and every DRAM floor query, into table lookups plus
+/// multiplies.
 #[derive(Debug, Clone)]
 pub struct AxisTable {
     /// `Σ` of per-tile clipped input extents, indexed by `tile − 1`.
     sums: Vec<u64>,
+    /// `min(sums[..tile])`, indexed by `tile − 1`.
+    prefix_min_sums: Vec<u64>,
     /// `⌈out_dim / tile⌉`, indexed by `tile − 1`.
     counts: Vec<u64>,
-    /// Input footprint `stride·(tile−1) + kernel`, indexed by `tile − 1`.
+    /// Input footprint `stride·(tile−1) + kernel`, indexed by `tile − 1`;
+    /// strictly increasing, since `stride ≥ 1`.
     footprints: Vec<usize>,
-    /// Minimum of `sums` over all tile sizes (for lower-bound pruning).
-    min_sum: u64,
 }
 
 impl AxisTable {
@@ -172,22 +182,46 @@ impl AxisTable {
     #[must_use]
     pub fn build(out_dim: usize, stride: usize, kernel: usize, pad: usize, in_dim: usize) -> Self {
         let mut sums = Vec::with_capacity(out_dim);
+        let mut prefix_min_sums = Vec::with_capacity(out_dim);
         let mut counts = Vec::with_capacity(out_dim);
         let mut footprints = Vec::with_capacity(out_dim);
+        let mut running_min = u64::MAX;
         for tile in 1..=out_dim {
-            sums.push(summed_input_extent(
-                out_dim, tile, stride, kernel, pad, in_dim,
-            ));
+            let sum = summed_input_extent(out_dim, tile, stride, kernel, pad, in_dim);
+            running_min = running_min.min(sum);
+            sums.push(sum);
+            prefix_min_sums.push(running_min);
             counts.push(tile_count(out_dim, tile));
             footprints.push(stride * (tile - 1) + kernel);
         }
-        let min_sum = sums.iter().copied().min().unwrap_or(0);
         AxisTable {
             sums,
+            prefix_min_sums,
             counts,
             footprints,
-            min_sum,
         }
+    }
+
+    /// The output-width (x) axis of `layer`.
+    pub(crate) fn width(layer: &ConvLayer) -> Self {
+        AxisTable::build(
+            layer.output_width(),
+            layer.stride(),
+            layer.kernel_width(),
+            layer.padding().horizontal,
+            layer.in_width(),
+        )
+    }
+
+    /// The output-height (y) axis of `layer`.
+    pub(crate) fn height(layer: &ConvLayer) -> Self {
+        AxisTable::build(
+            layer.output_height(),
+            layer.stride(),
+            layer.kernel_height(),
+            layer.padding().vertical,
+            layer.in_height(),
+        )
     }
 
     /// `Σ` of clipped input extents for tiles of size `tile`.
@@ -211,26 +245,41 @@ impl AxisTable {
     /// The smallest summed extent any tile size achieves on this axis.
     #[must_use]
     pub fn min_sum(&self) -> u64 {
-        self.min_sum
+        self.prefix_min_sums.last().copied().unwrap_or(0)
+    }
+
+    /// The axis's output extent: the largest tile size.
+    pub(crate) fn out_dim(&self) -> usize {
+        self.sums.len()
+    }
+
+    /// The largest tile size whose footprint is within `budget`, if any.
+    pub(crate) fn max_tile_within(&self, budget: u64) -> Option<usize> {
+        let n = self.footprints.partition_point(|&f| f as u64 <= budget);
+        (n > 0).then_some(n)
+    }
+
+    /// The smallest summed extent over tile sizes whose footprint is
+    /// within `budget`, if any tile size qualifies.
+    pub(crate) fn min_sum_within(&self, budget: u64) -> Option<u64> {
+        self.max_tile_within(budget)
+            .map(|n| self.prefix_min_sums[n - 1])
     }
 }
 
 /// Both spatial axis tables of one layer plus the layer constants the
 /// traffic formulas use, so evaluating one tiling is pure arithmetic —
-/// and the [`candidates`] grids of every swept dimension, hoisted here so
-/// each search over the same tables stops recomputing them.
+/// and the [`candidates`] grids of every swept dimension. Build it once
+/// per layer and hand it to every search of that layer.
 #[derive(Debug, Clone)]
 pub struct LayerTables {
     /// Output-width (x) axis table.
     pub x: AxisTable,
     /// Output-height (y) axis table.
     pub y: AxisTable,
-    batch: usize,
-    out_channels: usize,
+    layer: ConvLayer,
     taps_ci: u64,
     ci: u64,
-    kh: usize,
-    kw: usize,
     output_words: u64,
     z_cands: Vec<usize>,
     k_cands: Vec<usize>,
@@ -246,28 +295,13 @@ impl LayerTables {
     #[must_use]
     pub fn new(layer: &ConvLayer) -> Self {
         LayerTables {
-            x: AxisTable::build(
-                layer.output_width(),
-                layer.stride(),
-                layer.kernel_width(),
-                layer.padding().horizontal,
-                layer.in_width(),
-            ),
-            y: AxisTable::build(
-                layer.output_height(),
-                layer.stride(),
-                layer.kernel_height(),
-                layer.padding().vertical,
-                layer.in_height(),
-            ),
-            batch: layer.batch(),
-            out_channels: layer.out_channels(),
+            x: AxisTable::width(layer),
+            y: AxisTable::height(layer),
+            layer: *layer,
             taps_ci: layer.kernel_width() as u64
                 * layer.kernel_height() as u64
                 * layer.in_channels() as u64,
             ci: layer.in_channels() as u64,
-            kh: layer.kernel_height(),
-            kw: layer.kernel_width(),
             output_words: layer.output_words(),
             z_cands: candidates(layer.out_channels()),
             k_cands: candidates(layer.in_channels()),
@@ -277,6 +311,12 @@ impl LayerTables {
             y_dense: dense_candidates(layer.output_height()),
             x_dense: dense_candidates(layer.output_width()),
         }
+    }
+
+    /// The layer these tables describe.
+    #[must_use]
+    pub fn layer(&self) -> &ConvLayer {
+        &self.layer
     }
 
     /// The hoisted [`candidates`] grid for the output-channel (`z`) sweep.
@@ -329,15 +369,15 @@ impl LayerTables {
     /// computes, via table lookups instead of per-call halo loops.
     #[must_use]
     pub fn ours_traffic(&self, tiling: &Tiling) -> DramTraffic {
-        let nb = tile_count(self.batch, tiling.b);
-        let nz = tile_count(self.out_channels, tiling.z);
+        let nb = tile_count(self.layer.batch(), tiling.b);
+        let nz = tile_count(self.layer.out_channels(), tiling.z);
         let ny = self.y.count(tiling.y);
         let nx = self.x.count(tiling.x);
         // Σ of clamped batch-tile sizes is exactly the batch.
-        let sum_b = self.batch as u64;
+        let sum_b = self.layer.batch() as u64;
         DramTraffic {
             input_reads: sum_b * self.x.sum(tiling.x) * self.y.sum(tiling.y) * self.ci * nz,
-            weight_reads: self.taps_ci * self.out_channels as u64 * nb * ny * nx,
+            weight_reads: self.taps_ci * self.layer.out_channels() as u64 * nb * ny * nx,
             output_reads: 0,
             output_writes: self.output_words,
         }
@@ -351,7 +391,7 @@ impl LayerTables {
             + tiling.b as u64
                 * self.x.footprint(tiling.x) as u64
                 * self.y.footprint(tiling.y) as u64
-            + tiling.z as u64 * self.kh as u64 * self.kw as u64
+            + tiling.z as u64 * self.layer.kernel_height() as u64 * self.layer.kernel_width() as u64
     }
 }
 
@@ -378,10 +418,11 @@ impl LayerTables {
 ///   search has no residual constraint. A predicate that is not monotone
 ///   may lose feasible tilings further along an x-run.
 ///
-/// `z_cap` (when given) truncates the `z` candidate list before fan-out —
-/// a hard structural bound like the WGBuf entry count. `seed` (when it
-/// passes both predicates) pre-loads the global best so pruning bites from
-/// the very first subtree; the constructive `paper_tiling` is the usual
+/// `tables` are the searched layer's, built once by the caller. `z_cap`
+/// (when given) truncates the `z` candidate list before fan-out — a hard
+/// structural bound like the WGBuf entry count. `seed` (when it passes both
+/// predicates) pre-loads the global best so pruning bites from the very
+/// first subtree; [`paper_tiling`] over the same `tables` is the usual
 /// choice.
 ///
 /// Returns the canonically-best feasible [`Candidate`], or `None` when
@@ -389,7 +430,6 @@ impl LayerTables {
 /// of thread count: equal-traffic tilings resolve by [`Candidate::key`], and
 /// the shared best only ever prunes strictly-worse subtrees.
 pub fn search_ours_with<M, F>(
-    layer: &ConvLayer,
     tables: &LayerTables,
     seed: Option<Tiling>,
     z_cap: Option<usize>,
@@ -400,11 +440,9 @@ where
     M: Fn(&Tiling) -> bool + Sync,
     F: Fn(&Tiling) -> bool + Sync,
 {
-    // The candidate grids are hoisted into `tables` (built once per layer),
-    // so repeated searches over the same tables — the planner's structural
-    // sweep, DSE candidate fan-outs — stop recomputing them. The `Ours`
-    // sweep uses the midpoint-densified grids; baselines keep the coarser
-    // [`candidates`] grid (see [`dense_candidates`]).
+    // The `Ours` sweep uses the midpoint-densified grids; baselines keep
+    // the coarser [`candidates`] grid (see [`dense_candidates`]).
+    let layer = tables.layer();
     let zs = tables.z_candidates_dense();
     let ys = tables.y_candidates_dense();
     let xs = tables.x_candidates_dense();
@@ -503,21 +541,24 @@ where
     best.into_best()
 }
 
-/// Exhaustive search over the paper dataflow's `{b, z, y, x}` grid —
-/// identical results to [`naive::search_ours`], orders of magnitude faster.
-#[must_use]
-pub fn search_ours(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
-    let tables = LayerTables::new(layer);
+/// Exhaustive search over the paper dataflow's `{b, z, y, x}` grid under
+/// the total-memory constraint, seeded with [`paper_tiling`] — identical
+/// results to [`naive::search_ours`], orders of magnitude faster.
+///
+/// # Panics
+///
+/// When `mem` cannot hold the unit tiling `{1, 1, 1, 1}` (see
+/// [`search_ours`]).
+fn sweep_ours(tables: &LayerTables, mem: OnChipMemory) -> DataflowChoice {
     let mem_words = mem.words();
     let c = search_ours_with(
-        layer,
-        &tables,
-        Some(paper_tiling(layer, mem)),
+        tables,
+        Some(paper_tiling(tables, mem)),
         None,
         |t| tables.ours_onchip(t) as f64 <= mem_words,
         |_| true,
     )
-    .expect("the {1,1,1,1} tiling always fits any positive memory");
+    .expect("the memory holds the unit tiling, a precondition of every Ours search");
     DataflowChoice {
         kind: DataflowKind::Ours,
         tiling: c.tiling,
@@ -573,7 +614,7 @@ impl AxisTable {
     fn floor_terms(&self) -> AxisTerms {
         AxisTerms {
             count: 1,
-            sum: self.min_sum,
+            sum: self.min_sum(),
         }
     }
 }
@@ -668,16 +709,12 @@ fn baseline_onchip(kind: DataflowKind, layer: &ConvLayer, p: &BaselineParams) ->
 /// Sweeps one baseline dataflow's parameters with table-driven evaluation,
 /// monotone feasibility breaks and traffic-floor pruning — identical
 /// results to [`naive::search_baseline`].
-#[must_use]
-pub fn search_baseline(
+fn sweep_baseline(
     kind: DataflowKind,
-    layer: &ConvLayer,
+    tables: &LayerTables,
     mem: OnChipMemory,
 ) -> Option<DataflowChoice> {
-    if kind == DataflowKind::Ours {
-        return Some(search_ours(layer, mem));
-    }
-    let tables = LayerTables::new(layer);
+    let layer = tables.layer();
     let mem_words = mem.words();
     let (sweep_z, sweep_k, sweep_xy) = baseline_sweeps(kind);
     let ones = [1usize];
@@ -754,6 +791,14 @@ pub fn search_baseline(
     })
 }
 
+/// One dataflow's sweep over `tables`.
+fn sweep(kind: DataflowKind, tables: &LayerTables, mem: OnChipMemory) -> Option<DataflowChoice> {
+    match kind {
+        DataflowKind::Ours => Some(sweep_ours(tables, mem)),
+        other => sweep_baseline(other, tables, mem),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Memoization.
 // ---------------------------------------------------------------------------
@@ -770,7 +815,7 @@ struct CacheKey {
     mem_bits: u64,
 }
 
-/// Default bound on the memo cache. Generous — a full figure-bench run
+/// The bound on the memo cache. Generous — a full figure-bench run
 /// creates a few thousand entries and each entry is ~100 bytes — but finite,
 /// so a long-running server embedding the engine cannot grow without bound.
 pub const DEFAULT_SEARCH_CACHE_CAPACITY: usize = 65_536;
@@ -785,54 +830,109 @@ pub fn cache_stats() -> CacheStats {
 }
 
 /// Empties the search cache and resets the hit/miss/coalesced/eviction
-/// counters (used by benchmarks that need cold-cache timings). The LRU
-/// capacity is kept.
+/// counters (used by benchmarks that need cold-cache timings).
 pub fn clear_search_cache() {
     SEARCHES.clear();
 }
 
-/// Bounds the memo cache to `capacity` entries (clamped to ≥ 1), evicting
-/// least-recently-used entries immediately if it is already over. Long-lived
-/// embedders (the analysis service) call this at startup; the default is
-/// [`DEFAULT_SEARCH_CACHE_CAPACITY`].
-pub fn set_search_cache_capacity(capacity: usize) {
-    SEARCHES.set_capacity(capacity);
-}
-
-/// Memoized, coalescing dispatch: one search per `(kind, layer shape,
-/// memory)` per process. The search runs outside the memo's lock, so
-/// concurrent callers never serialize on a search, and concurrent
-/// *identical* misses wait for one computation, so a thundering herd of the
-/// same query runs the sweep once, not N times. This is the entry point
-/// long-running services should call.
-#[must_use]
-pub fn search_dataflow(
+/// One memoized search of `kind` on `layer`. A miss sweeps the layer's
+/// tables, built by the first miss that needs them: lookups that share
+/// `tables` share one build, and a hit builds nothing. The sweep runs
+/// outside the memo's lock, and concurrent identical misses wait for one
+/// computation.
+fn lookup(
     kind: DataflowKind,
     layer: &ConvLayer,
     mem: OnChipMemory,
+    tables: &OnceCell<LayerTables>,
 ) -> Option<DataflowChoice> {
     let key = CacheKey {
         kind,
         layer: *layer,
         mem_bits: mem.words().to_bits(),
     };
-    let search = || match kind {
-        DataflowKind::Ours => Some(search_ours(layer, mem)),
-        other => search_baseline(other, layer, mem),
-    };
+    let search = || sweep(kind, tables.get_or_init(|| LayerTables::new(layer)), mem);
     SEARCHES.get_or_compute(key, search, |_| true).0
 }
 
-/// The paper's "found minimum" oracle: best dataflow × best tiling, all
-/// eight kinds memoized. Ties between dataflows resolve to the first kind
-/// in [`DataflowKind::ALL`], matching the naive reference.
+/// Memoized, coalescing search of one dataflow: one sweep per `(kind,
+/// layer shape, memory)` per process. Concurrent callers never serialize
+/// on a search, and a thundering herd of the same query runs the sweep
+/// once, not N times. This is the entry point long-running services should
+/// call.
+///
+/// Returns `None` when no parameter choice fits (e.g. `InR-C` needs a full
+/// `Ci·Wk·Hk` column resident, which can exceed small memories).
+///
+/// # Panics
+///
+/// For [`DataflowKind::Ours`], as [`search_ours`].
+#[must_use]
+pub fn search_dataflow(
+    kind: DataflowKind,
+    layer: &ConvLayer,
+    mem: OnChipMemory,
+) -> Option<DataflowChoice> {
+    lookup(kind, layer, mem, &OnceCell::new())
+}
+
+/// Exhaustively searches the paper's dataflow tiling `{b, z, y, x}` under
+/// the `k = 1` on-chip constraint, seeded with the closed-form
+/// [`paper_tiling`] so the result is never worse than the constructive
+/// choice. Memoized like [`search_dataflow`].
+///
+/// # Panics
+///
+/// When `mem` cannot hold the unit tiling `{1, 1, 1, 1}`, whose working set
+/// is `1 + 2·Kh·Kw` words ([`Tiling::fits`]): then no tiling fits. Callers
+/// with memory from outside the program check that first.
+#[must_use]
+pub fn search_ours(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
+    search_dataflow(DataflowKind::Ours, layer, mem).expect("the Ours sweep always returns a tiling")
+}
+
+/// Every dataflow's memoized search on one layer, and the paper's "found
+/// minimum" among them (Section VI-A).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DataflowSearches {
+    /// Each kind's [`search_dataflow`] result, in [`DataflowKind::ALL`]
+    /// order.
+    pub choices: [Option<DataflowChoice>; 8],
+    /// The least-traffic choice: the best dataflow with its best tiling.
+    /// Ties resolve to the first kind in [`DataflowKind::ALL`], as in the
+    /// naive reference.
+    pub minimum: DataflowChoice,
+}
+
+/// Searches all eight dataflows on `layer`, one memo lookup each. The
+/// misses share one [`LayerTables`], built on the first of them, so a cold
+/// layer builds its tables once and a warm one not at all.
+///
+/// # Panics
+///
+/// As [`search_ours`].
+#[must_use]
+pub fn search_all(layer: &ConvLayer, mem: OnChipMemory) -> DataflowSearches {
+    let tables = OnceCell::new();
+    let choices = DataflowKind::ALL.map(|kind| lookup(kind, layer, mem, &tables));
+    let minimum = choices
+        .iter()
+        .flatten()
+        .min_by_key(|c| c.traffic.total_words())
+        .copied()
+        .expect("the Ours sweep always returns a tiling");
+    DataflowSearches { choices, minimum }
+}
+
+/// The paper's "found minimum" oracle: best dataflow × best tiling over
+/// all eight kinds ([`search_all`]'s `minimum`).
+///
+/// # Panics
+///
+/// As [`search_ours`].
 #[must_use]
 pub fn found_minimum(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
-    DataflowKind::ALL
-        .iter()
-        .filter_map(|&kind| search_dataflow(kind, layer, mem))
-        .min_by_key(|c| c.traffic.total_words())
-        .expect("Ours is always feasible")
+    search_all(layer, mem).minimum
 }
 
 // ---------------------------------------------------------------------------
@@ -851,7 +951,8 @@ pub fn found_minimum(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
 pub mod naive {
     use super::{
         baseline_onchip, baseline_sweeps, baseline_tiling, candidates, dense_candidates,
-        BestTracker, Candidate, ConvLayer, DataflowChoice, DataflowKind, OnChipMemory, Tiling,
+        BestTracker, Candidate, ConvLayer, DataflowChoice, DataflowKind, LayerTables, OnChipMemory,
+        Tiling,
     };
     use crate::baselines::{
         inr_a_traffic, inr_b_traffic, inr_c_traffic, outr_a_traffic, outr_b_traffic, wtr_a_traffic,
@@ -863,7 +964,7 @@ pub mod naive {
     #[must_use]
     pub fn search_ours(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
         let mut tracker = BestTracker::new();
-        let seed = paper_tiling(layer, mem);
+        let seed = paper_tiling(&LayerTables::new(layer), mem);
         if seed.fits(layer, mem) {
             tracker.offer(Candidate {
                 tiling: seed,
@@ -1000,7 +1101,6 @@ pub mod naive {
 mod tests {
     use super::*;
     use conv_model::workloads;
-    use std::sync::Mutex;
 
     fn layer() -> ConvLayer {
         workloads::vgg16(3).layer(4).unwrap().layer
@@ -1036,19 +1136,21 @@ mod tests {
     #[test]
     fn engine_matches_naive_on_vgg_layer() {
         let l = layer();
+        let tables = LayerTables::new(&l);
         for kib in [16.0, 66.5, 173.5] {
             let mem = OnChipMemory::from_kib(kib);
-            assert_eq!(search_ours(&l, mem), naive::search_ours(&l, mem));
+            assert_eq!(sweep_ours(&tables, mem), naive::search_ours(&l, mem));
         }
     }
 
     #[test]
     fn baseline_engine_matches_naive() {
         let l = layer();
+        let tables = LayerTables::new(&l);
         let mem = OnChipMemory::from_kib(66.5);
         for kind in DataflowKind::ALL {
             assert_eq!(
-                search_baseline(kind, &l, mem),
+                sweep(kind, &tables, mem),
                 naive::search_baseline(kind, &l, mem),
                 "{kind:?}"
             );
@@ -1094,22 +1196,21 @@ mod tests {
     #[test]
     fn generic_sweep_matches_specialized_search() {
         // `search_ours_with` with the memory predicate and no residual
-        // check must reproduce `search_ours` exactly.
+        // check must reproduce `sweep_ours` exactly.
         let l = layer();
         let tables = LayerTables::new(&l);
         for kib in [16.0, 66.5] {
             let mem = OnChipMemory::from_kib(kib);
             let mem_words = mem.words();
             let c = search_ours_with(
-                &l,
                 &tables,
-                Some(paper_tiling(&l, mem)),
+                Some(paper_tiling(&tables, mem)),
                 None,
                 |t| tables.ours_onchip(t) as f64 <= mem_words,
                 |_| true,
             )
             .unwrap();
-            let direct = search_ours(&l, mem);
+            let direct = sweep_ours(&tables, mem);
             assert_eq!(
                 (c.tiling, c.k, c.traffic),
                 (direct.tiling, direct.k, direct.traffic)
@@ -1133,11 +1234,11 @@ mod tests {
         let mem = OnChipMemory::from_kib(24.0);
         let mem_words = mem.words();
         let monotone = |t: &Tiling| tables.ours_onchip(t) as f64 <= mem_words;
-        assert!(search_ours_with(&l, &tables, None, None, monotone, |_| false).is_none());
-        let unrestricted = search_ours_with(&l, &tables, None, None, monotone, |_| true).unwrap();
+        assert!(search_ours_with(&tables, None, None, monotone, |_| false).is_none());
+        let unrestricted = search_ours_with(&tables, None, None, monotone, |_| true).unwrap();
         let banned = unrestricted.tiling;
         let l_shape = |t: &Tiling| t.y < 2 || t.x < banned.x;
-        let second = search_ours_with(&l, &tables, None, None, monotone, l_shape).unwrap();
+        let second = search_ours_with(&tables, None, None, monotone, l_shape).unwrap();
         assert_ne!(second.tiling, banned);
         assert!(second.key() > unrestricted.key());
 
@@ -1167,38 +1268,8 @@ mod tests {
         let tables = LayerTables::new(&l);
         let mem_words = OnChipMemory::from_kib(64.0).words();
         let monotone = |t: &Tiling| tables.ours_onchip(t) as f64 <= mem_words;
-        let c = search_ours_with(&l, &tables, None, Some(3), monotone, |_| true).unwrap();
+        let c = search_ours_with(&tables, None, Some(3), monotone, |_| true).unwrap();
         assert!(c.tiling.z <= 3);
-    }
-
-    /// Serializes the tests that resize or clear the process-wide cache, so
-    /// their assertions cannot race each other. Tests that merely *use* the
-    /// cache are unaffected (they only assert monotone/delta properties).
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn lru_bound_evicts_and_counts() {
-        // Shrink the cache far below the number of distinct searches and
-        // confirm it stays bounded and counts evictions; then restore the
-        // default so other tests keep their hit-rate assumptions.
-        let _guard = CACHE_TEST_LOCK.lock().unwrap();
-        clear_search_cache();
-        set_search_cache_capacity(4);
-        let mem = OnChipMemory::from_kib(9.75);
-        for co in 1..=12 {
-            let l = ConvLayer::square(1, co, 9, 5, 3, 1).unwrap();
-            let _ = search_dataflow(DataflowKind::OutRB, &l, mem);
-        }
-        let stats = cache_stats();
-        assert!(stats.entries <= 4, "cache must respect its bound");
-        assert_eq!(stats.capacity, 4);
-        assert!(
-            stats.evictions >= 8,
-            "12 distinct searches through 4 slots must evict, got {}",
-            stats.evictions
-        );
-        set_search_cache_capacity(DEFAULT_SEARCH_CACHE_CAPACITY);
-        clear_search_cache();
     }
 
     #[test]
@@ -1209,7 +1280,6 @@ mod tests {
         // more call is answered from cache. Sweep-sharing mechanics are
         // pinned in `memo::tests`; global counters are too noisy to
         // assert exact sharing here (other tests search concurrently).
-        let _guard = CACHE_TEST_LOCK.lock().unwrap();
         let l = ConvLayer::square(2, 37, 23, 5, 3, 1).unwrap();
         let mem = OnChipMemory::from_kib(31.5);
         let results: Vec<DataflowChoice> = {
@@ -1232,7 +1302,6 @@ mod tests {
 
     #[test]
     fn cache_hits_on_repeat_searches() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap();
         // The cache and its counters are process-wide and other unit tests
         // search concurrently, so only monotone/delta properties are
         // asserted — never absolute counter values. A layer shape no other

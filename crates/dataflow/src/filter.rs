@@ -20,13 +20,15 @@
 //! set) therefore yields a word count no feasible execution on that
 //! `(igbuf, wgbuf)` geometry can beat. The floors are exact minima of the
 //! individual terms, computed in `O(Y log X)` per distinct buffer geometry
-//! after `O(X + Y)` per-layer preprocessing, and cached per geometry by
-//! [`FloorCache`] so sweeping 10⁵–10⁶ candidates costs hash lookups, not
-//! halo sweeps.
+//! from the layer's [`AxisTable`]s — the halo tables every tiling search
+//! reads — and cached per geometry by [`FloorCache`] so sweeping 10⁵–10⁶
+//! candidates costs hash lookups, not halo sweeps.
 
 use std::collections::HashMap;
 
 use conv_model::ConvLayer;
+
+use crate::engine::AxisTable;
 
 /// An admissible lower bound on the DRAM traffic of any feasible execution
 /// of one layer on a buffer geometry, split the way a staged sweep consumes
@@ -44,91 +46,9 @@ pub struct DramFloor {
     pub provably_infeasible: bool,
 }
 
-/// One axis of the halo relation, preprocessed for O(log n) floor queries:
-/// tile sizes sorted by (strictly increasing) input footprint, with the
-/// prefix minimum of the summed clipped input extent.
-#[derive(Debug, Clone)]
-struct AxisFloor {
-    /// `footprints[i]` = input footprint of tile size `i + 1`.
-    footprints: Vec<u64>,
-    /// `sums[i]` = summed clipped input extent of tile size `i + 1` (the
-    /// `sum_x`/`sum_y` factor of Eq. 14).
-    sums: Vec<u64>,
-    /// `prefix_min_sum[i]` = min of `sums[0..=i]`.
-    prefix_min_sum: Vec<u64>,
-}
-
-impl AxisFloor {
-    fn new(out_dim: usize, stride: usize, kernel: usize, pad: usize, in_dim: usize) -> Self {
-        let mut footprints = Vec::with_capacity(out_dim);
-        let mut sums = Vec::with_capacity(out_dim);
-        let mut prefix_min_sum = Vec::with_capacity(out_dim);
-        let mut running = u64::MAX;
-        for tile in 1..=out_dim {
-            footprints.push(((stride * (tile - 1)) as u64).saturating_add(kernel as u64));
-            let sum = summed_clipped_extent(out_dim, tile, stride, kernel, pad, in_dim);
-            sums.push(sum);
-            running = running.min(sum);
-            prefix_min_sum.push(running);
-        }
-        AxisFloor {
-            footprints,
-            sums,
-            prefix_min_sum,
-        }
-    }
-
-    /// Footprint of the unit tile (the kernel extent) — the least any block
-    /// can occupy along this axis.
-    fn unit_footprint(&self) -> u64 {
-        self.footprints[0]
-    }
-
-    /// Largest tile size whose footprint is within `budget`, if any.
-    fn max_tile_within(&self, budget: u64) -> Option<usize> {
-        // partition_point: footprints are strictly increasing in tile size.
-        let n = self.footprints.partition_point(|&f| f <= budget);
-        (n > 0).then_some(n)
-    }
-
-    /// Minimum summed extent over tile sizes whose footprint is within
-    /// `budget`, if any tile qualifies.
-    fn min_sum_within(&self, budget: u64) -> Option<u64> {
-        self.max_tile_within(budget)
-            .map(|n| self.prefix_min_sum[n - 1])
-    }
-}
-
-/// Sum over tile starts of the clipped input extent along one axis — the
-/// `sum_x`/`sum_y` factor of the analytic Eq. 14 traffic (padding zeros are
-/// never fetched). Mirrors the dataflow crate's summed extent exactly; the
-/// dataflow crate's tests pin the two against each other.
-fn summed_clipped_extent(
-    out_dim: usize,
-    tile: usize,
-    stride: usize,
-    kernel: usize,
-    pad: usize,
-    in_dim: usize,
-) -> u64 {
-    let mut sum = 0u64;
-    let mut start = 0usize;
-    while start < out_dim {
-        let len = tile.min(out_dim - start);
-        let lo = ((start * stride) as isize - pad as isize).max(0);
-        let hi = (((start + len - 1) * stride + kernel - 1) as isize - pad as isize)
-            .min(in_dim as isize - 1);
-        if hi >= lo {
-            sum += (hi - lo + 1) as u64;
-        }
-        start += tile;
-    }
-    sum
-}
-
-/// Per-layer preprocessing for [`DramFloor`] queries: axis tables plus the
-/// layer constants of the Eq. 14 terms. Build once per layer, query once
-/// per distinct buffer geometry.
+/// Per-layer preprocessing for [`DramFloor`] queries: the layer's axis
+/// tables plus the layer constants of the Eq. 14 terms. Build once per
+/// layer, query once per distinct buffer geometry.
 #[derive(Debug, Clone)]
 pub struct LayerFloor {
     batch: u64,
@@ -136,10 +56,8 @@ pub struct LayerFloor {
     in_channels: u64,
     taps: u64,
     output_words: u64,
-    x: AxisFloor,
-    y: AxisFloor,
-    out_width: usize,
-    out_height: usize,
+    x: AxisTable,
+    y: AxisTable,
 }
 
 impl LayerFloor {
@@ -153,22 +71,8 @@ impl LayerFloor {
             in_channels: layer.in_channels() as u64,
             taps: (layer.kernel_height() * layer.kernel_width()) as u64,
             output_words: layer.output_words(),
-            x: AxisFloor::new(
-                layer.output_width(),
-                layer.stride(),
-                layer.kernel_width(),
-                layer.padding().horizontal,
-                layer.in_width(),
-            ),
-            y: AxisFloor::new(
-                layer.output_height(),
-                layer.stride(),
-                layer.kernel_height(),
-                layer.padding().vertical,
-                layer.in_height(),
-            ),
-            out_width: layer.output_width(),
-            out_height: layer.output_height(),
+            x: AxisTable::width(layer),
+            y: AxisTable::height(layer),
         }
     }
 
@@ -192,10 +96,10 @@ impl LayerFloor {
     #[must_use]
     pub fn floor(&self, igbuf_entries: usize, wgbuf_entries: usize) -> DramFloor {
         let igbuf = igbuf_entries as u64;
-        let unit = self
-            .x
-            .unit_footprint()
-            .saturating_mul(self.y.unit_footprint());
+        // The unit tile's footprint along each axis is the kernel extent,
+        // the least any block can occupy.
+        let (unit_x, unit_y) = (self.x.footprint(1) as u64, self.y.footprint(1) as u64);
+        let unit = unit_x.saturating_mul(unit_y);
         if unit > igbuf {
             return DramFloor {
                 read_words: 0,
@@ -210,13 +114,13 @@ impl LayerFloor {
         // that range is achieved by one of them — so each product below is
         // attainable and every attainable pair is dominated by one of them.
         let mut min_plane = u64::MAX;
-        for ty in 1..=self.out_height {
-            let fy = self.y.footprints[ty - 1];
-            if fy.saturating_mul(self.x.unit_footprint()) > igbuf {
+        for ty in 1..=self.y.out_dim() {
+            let fy = self.y.footprint(ty) as u64;
+            if fy.saturating_mul(unit_x) > igbuf {
                 break; // footprints grow with ty: nothing larger fits
             }
             if let Some(sx) = self.x.min_sum_within(igbuf / fy) {
-                min_plane = min_plane.min(sx.saturating_mul(self.y.sums[ty - 1]));
+                min_plane = min_plane.min(sx.saturating_mul(self.y.sum(ty)));
             }
         }
         let nz_floor = self
@@ -233,17 +137,15 @@ impl LayerFloor {
 
         // Weight floor: fewest block visits, each axis maximized alone.
         let b_max = (igbuf / unit).clamp(1, self.batch);
-        let budget_y = igbuf / self.x.unit_footprint();
-        let ty_max = self.y.max_tile_within(budget_y).unwrap_or(1) as u64;
-        let budget_x = igbuf / self.y.unit_footprint();
-        let tx_max = self.x.max_tile_within(budget_x).unwrap_or(1) as u64;
+        let ty_max = self.y.max_tile_within(igbuf / unit_x).unwrap_or(1) as u64;
+        let tx_max = self.x.max_tile_within(igbuf / unit_y).unwrap_or(1) as u64;
         let weight_floor = self
             .taps
             .saturating_mul(self.in_channels)
             .saturating_mul(self.out_channels)
             .saturating_mul(self.batch.div_ceil(b_max))
-            .saturating_mul((self.out_height as u64).div_ceil(ty_max))
-            .saturating_mul((self.out_width as u64).div_ceil(tx_max));
+            .saturating_mul((self.y.out_dim() as u64).div_ceil(ty_max))
+            .saturating_mul((self.x.out_dim() as u64).div_ceil(tx_max));
 
         let read_words = input_floor.saturating_add(weight_floor);
         DramFloor {
@@ -340,9 +242,10 @@ mod tests {
         // out=4, tile=1, stride=2, kernel=3, pad=1, in=8.
         // starts 0..3: windows [-1..1]→[0,1], [1..3], [3..5], [5..7]
         // lens: 2,3,3,3 → 11.
-        assert_eq!(summed_clipped_extent(4, 1, 2, 3, 1, 8), 11);
+        let axis = AxisTable::build(4, 2, 3, 1, 8);
+        assert_eq!(axis.sum(1), 11);
         // Full-output tile touches every input row exactly once.
-        assert_eq!(summed_clipped_extent(4, 4, 2, 3, 1, 8), 8);
+        assert_eq!(axis.sum(4), 8);
     }
 
     #[test]

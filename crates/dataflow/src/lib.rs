@@ -7,10 +7,13 @@
 //!   resident on chip, inputs/weights streamed once, `k = 1`).
 //! * [`baselines`] — the seven comparison dataflows (`OutR-A/B`, `WtR-A/B`,
 //!   `InR-A/B/C`) with exact traffic formulas.
-//! * [`search_dataflow`]/[`found_minimum`] — exhaustive tiling search per
-//!   dataflow and the paper's "found minimum" oracle (Section VI-A),
-//!   memoized in a [`Memo`]: the bounded, coalescing cache type the
-//!   planner and the analysis service reuse.
+//! * [`search_dataflow`]/[`search_all`]/[`found_minimum`] — exhaustive
+//!   tiling search per dataflow and the paper's "found minimum" oracle
+//!   (Section VI-A), over one set of halo tables per layer
+//!   ([`LayerTables`]), memoized in a [`Memo`]: the bounded, coalescing
+//!   cache type the planner and the analysis service reuse.
+//! * [`filter`] — admissible per-candidate DRAM floors for staged
+//!   design-space sweeps, read from the same axis tables.
 //!
 //! # Example
 //!
@@ -33,6 +36,7 @@
 pub mod baselines;
 pub mod dse;
 pub mod engine;
+pub mod filter;
 mod lru;
 mod memo;
 mod nest_counter;
@@ -42,15 +46,13 @@ mod traffic;
 
 pub use dse::{grid_points, GridError};
 pub use engine::{
-    cache_stats, clear_search_cache, set_search_cache_capacity, LayerTables,
-    DEFAULT_SEARCH_CACHE_CAPACITY,
+    cache_stats, clear_search_cache, found_minimum, search_all, search_dataflow, search_ours,
+    DataflowSearches, LayerTables, DEFAULT_SEARCH_CACHE_CAPACITY,
 };
+pub use filter::{DramFloor, FloorCache, LayerFloor};
 pub use memo::{CacheStats, Lookup, Memo};
 pub use nest_counter::count_by_execution;
-pub use search::{
-    candidates, found_minimum, plan_tiling, search_baseline, search_dataflow, search_ours,
-    DataflowChoice,
-};
+pub use search::{candidates, DataflowChoice};
 pub use tiling::{our_dataflow_traffic, paper_tiling, Tiling};
 pub use traffic::DramTraffic;
 

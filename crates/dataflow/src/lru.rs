@@ -116,15 +116,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.insert(key, i);
     }
 
-    /// Lowers (or raises) the eviction bound, evicting LRU entries until the
-    /// cache fits. Capacity is clamped to ≥ 1.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.map.len() > self.capacity {
-            self.evict_tail();
-        }
-    }
-
     /// Drops every entry and resets the eviction counter. Capacity is kept.
     pub fn clear(&mut self) {
         self.map.clear();
@@ -222,20 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts() {
-        let mut c = LruCache::new(4);
-        for (i, k) in ["a", "b", "c", "d"].into_iter().enumerate() {
-            c.insert(k, i);
-        }
-        c.set_capacity(2);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 2);
-        // The two most recently used survive.
-        assert_eq!(c.get(&"c"), Some(&2));
-        assert_eq!(c.get(&"d"), Some(&3));
-    }
-
-    #[test]
     fn clear_resets_entries_and_counter() {
         let mut c = LruCache::new(1);
         c.insert("a", 1);
@@ -256,8 +233,6 @@ mod tests {
         c.insert("a", 1);
         c.insert("b", 2);
         assert_eq!(c.len(), 1);
-        c.set_capacity(0);
-        assert_eq!(c.capacity(), 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// The LRU bound ([`Memo::set_capacity`]).
+    /// The LRU bound ([`Memo::new`]).
     pub capacity: usize,
 }
 
@@ -173,12 +173,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             count.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Lowers (or raises) the bound to `capacity` entries (clamped to
-    /// ≥ 1), evicting least-recently-used entries at once if it is over.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.lock().lru.set_capacity(capacity);
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +202,19 @@ mod tests {
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.coalesced), (0, 1, 0));
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn lru_bound_evicts_and_counts() {
+        // Far more distinct keys than slots: the memo stays bounded and
+        // counts every eviction.
+        let memo: Memo<u32, u32> = Memo::new(4);
+        for k in 0..12 {
+            memo.get_or_compute(k, || k * 2, |_| true);
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.capacity), (4, 4));
+        assert_eq!((stats.misses, stats.evictions), (12, 8));
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Exhaustive tiling search per dataflow, and the "found minimum" oracle.
+//! The tiling-search space and result: the candidate tile sizes every
+//! exhaustive search sweeps, and the [`DataflowChoice`] it returns.
 //!
 //! The paper removes the impact of improper tiling sizes by exhaustively
 //! searching the tiling space of every dataflow (Section VI-A: "the tiling
 //! sizes of all dataflows are obtained by exhaustive searches"). The
-//! functions here are thin, memoized entry points over the shared
-//! [`engine`](crate::engine): axis-table evaluation, monotonicity pruning
-//! and thread fan-out live there, together with the retained
+//! searches themselves — [`search_dataflow`](crate::search_dataflow),
+//! [`search_ours`](crate::search_ours), [`search_all`](crate::search_all)
+//! and [`found_minimum`](crate::found_minimum) — live in the shared
+//! [`engine`](crate::engine) with their memo, together with the retained
 //! [`naive`](crate::engine::naive) reference the engine is tested against.
 
-use comm_bound::OnChipMemory;
-use conv_model::ConvLayer;
 use serde::{Deserialize, Serialize};
 
-use crate::engine;
 use crate::tiling::Tiling;
 use crate::traffic::DramTraffic;
 use crate::DataflowKind;
@@ -82,59 +81,15 @@ pub fn dense_candidates(dim: usize) -> Vec<usize> {
     dense
 }
 
-/// Exhaustively searches the paper's dataflow tiling `{b, z, y, x}` under
-/// the `k = 1` on-chip constraint, seeded with the closed-form
-/// [`paper_tiling`](crate::paper_tiling) so the result is never worse than
-/// the constructive choice. Memoized per `(layer shape, memory)`.
-#[must_use]
-pub fn search_ours(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
-    engine::search_dataflow(DataflowKind::Ours, layer, mem).expect("Ours is always feasible")
-}
-
-/// Exhaustively searches one baseline dataflow's parameters. Memoized per
-/// `(kind, layer shape, memory)`.
-///
-/// Returns `None` when no parameter choice fits (e.g. `InR-C` needs a full
-/// `Ci·Wk·Hk` column resident, which can exceed small memories).
-#[must_use]
-pub fn search_baseline(
-    kind: DataflowKind,
-    layer: &ConvLayer,
-    mem: OnChipMemory,
-) -> Option<DataflowChoice> {
-    engine::search_dataflow(kind, layer, mem)
-}
-
-/// Searches one dataflow (dispatching between [`search_ours`] and
-/// [`search_baseline`]).
-#[must_use]
-pub fn search_dataflow(
-    kind: DataflowKind,
-    layer: &ConvLayer,
-    mem: OnChipMemory,
-) -> Option<DataflowChoice> {
-    engine::search_dataflow(kind, layer, mem)
-}
-
-/// The paper's "found minimum": the best dataflow with the best tiling for
-/// this layer (Section VI-A). Always succeeds because the paper's dataflow
-/// is feasible for any positive memory.
-#[must_use]
-pub fn found_minimum(layer: &ConvLayer, mem: OnChipMemory) -> DataflowChoice {
-    engine::found_minimum(layer, mem)
-}
-
-/// Convenience: the best tiling for the paper's dataflow (exhaustive).
-#[must_use]
-pub fn plan_tiling(layer: &ConvLayer, mem: OnChipMemory) -> Tiling {
-    search_ours(layer, mem).tiling
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiling::{our_dataflow_traffic, paper_tiling};
-    use conv_model::workloads;
+    use crate::{
+        found_minimum, our_dataflow_traffic, paper_tiling, search_dataflow, search_ours,
+        LayerTables,
+    };
+    use comm_bound::OnChipMemory;
+    use conv_model::{workloads, ConvLayer};
 
     fn layer() -> ConvLayer {
         workloads::vgg16(3).layer(4).unwrap().layer
@@ -180,7 +135,7 @@ mod tests {
     fn ours_beats_paper_heuristic_or_ties() {
         let l = layer();
         let mem = OnChipMemory::from_kib(66.5);
-        let heuristic = paper_tiling(&l, mem);
+        let heuristic = paper_tiling(&LayerTables::new(&l), mem);
         let heuristic_q = our_dataflow_traffic(&l, &heuristic).total_words();
         let searched = search_ours(&l, mem);
         assert!(searched.traffic.total_words() <= heuristic_q);

@@ -10,6 +10,7 @@ use comm_bound::OnChipMemory;
 use conv_model::ConvLayer;
 use serde::{Deserialize, Serialize};
 
+use crate::engine::LayerTables;
 use crate::traffic::DramTraffic;
 
 /// Output tiling `{b, z, y, x}` of the paper's dataflow (Fig. 7).
@@ -206,15 +207,18 @@ pub fn our_dataflow_traffic(layer: &ConvLayer, tiling: &Tiling) -> DramTraffic {
 }
 
 /// Closed-form tiling choice from the paper's two optimality conditions
-/// (Section IV-C): `b·x·y ≈ R·z` and `b·x·y·z ≈ S`.
+/// (Section IV-C): `b·x·y ≈ R·z` and `b·x·y·z ≈ S`, for the layer `tables`
+/// describe.
 ///
 /// Solves `u = √(S·R)`, `z = √(S/R)`, distributes `u` over `{b, y, x}`
 /// greedily (whole images first, then square-ish spatial tiles), then shrinks
 /// until the `k = 1` working set fits. This is the constructive "our
-/// dataflow" configuration; [`plan_tiling`](crate::search::plan_tiling)
-/// additionally polishes it with a local search.
+/// dataflow" configuration; the exhaustive searches
+/// ([`search_ours`](crate::search_ours) and the planner's structural
+/// search) start from it, over the same `tables`.
 #[must_use]
-pub fn paper_tiling(layer: &ConvLayer, mem: OnChipMemory) -> Tiling {
+pub fn paper_tiling(tables: &LayerTables, mem: OnChipMemory) -> Tiling {
+    let layer = tables.layer();
     let s = mem.words();
     let r = layer.window_reuse();
     let u_target = (s * r).sqrt();
@@ -231,7 +235,6 @@ pub fn paper_tiling(layer: &ConvLayer, mem: OnChipMemory) -> Tiling {
     // the halo sums (`our_dataflow_traffic`) per candidate. The tables
     // compute the same integers — the engine pins the parity — so the
     // chosen tiling is unchanged.
-    let tables = crate::engine::LayerTables::new(layer);
     let factors = [0.5, 0.62, 0.75, 0.85, 0.95, 1.0, 1.1];
     let mut best: Option<(u64, Tiling)> = None;
     for b in 1..=layer.batch().min(b_hint + 1) {
@@ -367,7 +370,7 @@ mod tests {
         let l = layer();
         for kib in [16.0, 66.5, 128.0, 256.0] {
             let mem = OnChipMemory::from_kib(kib);
-            let t = paper_tiling(&l, mem);
+            let t = paper_tiling(&LayerTables::new(&l), mem);
             assert!(t.fits(&l, mem), "tiling {t} does not fit in {kib} KiB");
         }
     }
@@ -376,7 +379,7 @@ mod tests {
     fn paper_tiling_balances_u_and_rz() {
         let l = layer();
         let mem = OnChipMemory::from_kib(66.5);
-        let t = paper_tiling(&l, mem);
+        let t = paper_tiling(&LayerTables::new(&l), mem);
         let ratio = t.u() as f64 / (l.window_reuse() * t.z as f64);
         assert!(
             (0.4..2.5).contains(&ratio),
@@ -389,7 +392,7 @@ mod tests {
         // The constructed tiling's traffic should be within ~35% of Eq. 15.
         let l = layer();
         let mem = OnChipMemory::from_kib(66.5);
-        let t = paper_tiling(&l, mem);
+        let t = paper_tiling(&LayerTables::new(&l), mem);
         let q = our_dataflow_traffic(&l, &t).total_words() as f64;
         let bound = comm_bound::practical_dram_words(&l, mem);
         assert!(

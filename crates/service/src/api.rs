@@ -21,7 +21,7 @@ use clb_core::network_caps;
 use clb_core::{Accelerator, LayerReport, NetworkReport, OnChipMemory};
 use conv_model::workloads::Network;
 use conv_model::{workloads, ConvLayer, Padding};
-use dataflow::{found_minimum, search_dataflow, DataflowChoice, DataflowKind, Tiling};
+use dataflow::{search_all, DataflowChoice, DataflowKind, Tiling};
 use serde::{Deserialize, Serialize, Serializer, Value};
 
 use crate::http::Response;
@@ -708,7 +708,8 @@ pub struct SweepResponse {
     pub dataflows: Vec<SweepEntry>,
 }
 
-/// A parsed `/v1/sweep` body: the [`BoundRequest`] fields.
+/// A parsed `/v1/sweep` body: the [`BoundRequest`] fields, with memory
+/// for at least the paper dataflow's unit tiling.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRequest(pub BoundRequest);
 
@@ -717,25 +718,40 @@ impl Endpoint for SweepRequest {
     type Response = SweepResponse;
 
     fn from_value(v: &Value) -> Result<Self, ApiError> {
-        BoundRequest::from_value(v).map(SweepRequest)
+        let request = BoundRequest::from_value(v)?;
+        // Below the unit tiling's working set no tiling of the paper's
+        // dataflow fits, and its search has no answer.
+        let layer = &request.layer;
+        let unit = Tiling::clamped(layer, 1, 1, 1, 1);
+        if !unit.fits(layer, OnChipMemory::from_kib(request.mem_kib)) {
+            let words = unit.onchip_words(layer);
+            return Err(ApiError::Unprocessable(format!(
+                "mem_kib must be at least {} for this layer: the unit tiling of \
+                 the paper's dataflow needs {words} words (1 + 2·Kh·Kw)",
+                (words * conv_model::BYTES_PER_WORD) as f64 / 1024.0
+            )));
+        }
+        Ok(SweepRequest(request))
     }
 
     fn run(&self) -> Result<SweepResponse, ApiError> {
         let BoundRequest { layer, mem_kib } = self.0;
         let mem = OnChipMemory::from_kib(mem_kib);
+        let searches = search_all(&layer, mem);
         let dataflows = DataflowKind::ALL
             .iter()
-            .map(|&kind| SweepEntry {
+            .zip(searches.choices)
+            .map(|(&kind, choice)| SweepEntry {
                 kind,
                 name: kind.name().to_string(),
-                choice: search_dataflow(kind, &layer, mem),
+                choice,
             })
             .collect();
         Ok(SweepResponse {
             layer,
             mem_kib,
             bound_bytes: comm_bound::dram_bound_bytes(&layer, mem),
-            found_minimum: found_minimum(&layer, mem),
+            found_minimum: searches.minimum,
             dataflows,
         })
     }
@@ -1683,13 +1699,35 @@ mod tests {
 
     #[test]
     fn mem_kib_validation() {
-        for bad in [0.0, -3.0, f64::INFINITY, limits::MAX_MEM_KIB * 2.0] {
+        let with_mem = |mem_kib: f64| {
             let mut body = small_layer_body();
             if let Value::Object(fields) = &mut body {
-                fields.push(("mem_kib".to_string(), Value::Number(bad)));
+                fields.push(("mem_kib".to_string(), Value::Number(mem_kib)));
             }
-            assert_eq!(dispatch("/v1/bound", &body).status, 422, "mem_kib={bad}");
+            body
+        };
+        for bad in [0.0, -3.0, f64::INFINITY, limits::MAX_MEM_KIB * 2.0] {
+            assert_eq!(
+                dispatch("/v1/bound", &with_mem(bad)).status,
+                422,
+                "mem_kib={bad}"
+            );
         }
+        // A 3×3 kernel's unit tiling needs 1 + 2·9 = 19 words, 0.037109375
+        // KiB: a sweep below that is refused before any search runs, and
+        // the bound still answers.
+        let tiny = with_mem(0.01);
+        let refused = dispatch("/v1/sweep", &tiny);
+        assert_eq!(refused.status, 422, "{}", refused.body);
+        assert!(
+            refused
+                .body
+                .contains("mem_kib must be at least 0.037109375 for this layer"),
+            "{}",
+            refused.body
+        );
+        assert_eq!(dispatch("/v1/bound", &tiny).status, 200);
+        assert_eq!(dispatch("/v1/sweep", &with_mem(0.037109375)).status, 200);
     }
 
     #[test]

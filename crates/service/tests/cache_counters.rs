@@ -65,13 +65,13 @@ fn a_known_request_mix_moves_each_counter_by_its_exact_value() {
     let server = Server::spawn(ServiceConfig::default()).expect("bind an ephemeral port");
     let addr = server.addr();
 
-    // A cold sweep searches each of the eight dataflow kinds once, then
-    // `found_minimum` looks all eight up again.
+    // A cold sweep searches each of the eight dataflow kinds once, and
+    // takes the found minimum from those eight searches.
     let sweep = r#"{"co":40,"size":12,"ci":20,"batch":1}"#;
     let cold = stats(addr);
     post(addr, "/v1/sweep", sweep);
     let swept = stats(addr);
-    assert_eq!(delta(&cold.search, &swept.search), (8, 8, 0));
+    assert_eq!(delta(&cold.search, &swept.search), (0, 8, 0));
 
     // The same body again is one response hit that looks up no search.
     post(addr, "/v1/sweep", sweep);

@@ -486,7 +486,7 @@ fn cmd_dse(flags: &Flags) -> Result<String, String> {
 /// `clb serve`'s own flags; with the engine flags, the only ones it takes.
 const SERVE_FLAGS: &str = "port threads cache-stats io-workers queue result-cache max-body \
                            keepalive-requests keepalive-idle-ms max-connections drain-ms \
-                           allow-shutdown log search-cache";
+                           allow-shutdown log";
 
 /// A thread-count flag (`--threads`, `--io-workers`): 0 (auto) up to
 /// [`clb_service::MAX_THREADS`], refused by name above it.
@@ -503,12 +503,6 @@ fn thread_count(flags: &Flags, key: &str) -> Result<usize, String> {
 
 fn cmd_serve(flags: &Flags) -> Result<String, String> {
     let config = serve_config(flags)?;
-    let search_cache: usize = get(
-        flags,
-        "search-cache",
-        dataflow::DEFAULT_SEARCH_CACHE_CAPACITY,
-    )?;
-    dataflow::set_search_cache_capacity(search_cache);
     let server = clb_service::Server::bind(config).map_err(|e| e.to_string())?;
     eprintln!(
         "clb-service listening on http://{} (try GET /healthz)",
@@ -578,7 +572,7 @@ fn usage() -> &'static str {
      \\            (network mode: each candidate evaluated over the whole model;\n\
      \\            takes the same staged flags)\n\
      clb serve    [--port 8080] [--threads 0] [--io-workers 0] [--queue 256]\n\
-     \\            [--result-cache 1024] [--search-cache 65536] [--max-body 1048576]\n\
+     \\            [--result-cache 1024] [--max-body 1048576]\n\
      \\            [--keepalive-requests 128] [--keepalive-idle-ms 5000]\n\
      \\            [--max-connections 1024] [--drain-ms 5000] [--allow-shutdown true]\n\
      \\            [--log true]   (--io-workers: HTTP I/O worker threads; 0 = auto;\n\
@@ -592,7 +586,7 @@ fn usage() -> &'static str {
      --threads N        one budget of N compute threads: gate permits plus pool\n\
      \\                  (serve: N concurrent requests; 0 = one per CPU;\n\
      \\                  at most 1024)\n\
-     --cache-stats true print search-cache hits/misses after the command\n\
+     --cache-stats true print search- and plan-cache hits/misses after the command\n\
      --arch '<json>'    full custom architecture (any verb that takes --implem;\n\
      \\                  bound/sweep derive the memory size from it; dse uses it\n\
      \\                  as the grid base) — fields default to implementation 1,\n\
@@ -614,14 +608,19 @@ fn apply_engine_flags(flags: &Flags) -> Result<bool, String> {
 }
 
 fn print_cache_stats() {
-    let stats = dataflow::cache_stats();
-    eprintln!(
-        "search cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0,
-        stats.entries
-    );
+    let memos = [
+        ("search", dataflow::cache_stats()),
+        ("plan", clb_core::plan_cache_stats()),
+    ];
+    for (name, stats) in memos {
+        eprintln!(
+            "{name} cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
+            stats.hits,
+            stats.misses,
+            stats.hit_rate() * 100.0,
+            stats.entries
+        );
+    }
 }
 
 /// Writes a verb's whole output with one write to the locked stdout. A

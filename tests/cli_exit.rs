@@ -31,6 +31,33 @@ fn mem_kib_out_of_range_exits_1_with_the_service_message() {
 }
 
 #[test]
+fn a_sweep_below_the_unit_tiling_exits_1_with_the_service_message() {
+    // 0.01 KiB is 5 words, less than the 19 a 3×3 kernel's unit tiling
+    // needs: no tiling of the paper's dataflow fits, so the sweep is
+    // refused before it searches. The bound has no such floor.
+    let args = [
+        "--co",
+        "64",
+        "--size",
+        "28",
+        "--ci",
+        "32",
+        "--mem-kib",
+        "0.01",
+    ];
+    let out = clb(&["sweep"]).args(args).output().expect("run clb");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("mem_kib must be at least 0.037109375 for this layer"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let bound = clb(&["bound"]).args(args).output().expect("run clb");
+    assert!(bound.status.success(), "{:?}", bound.status);
+}
+
+#[test]
 fn a_closed_stdout_is_a_quiet_exit() {
     // The reader is gone before clb writes, so its one write meets EPIPE
     // every time (`clb sweep … | head -1` on a fast pipe).

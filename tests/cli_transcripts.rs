@@ -3,7 +3,8 @@
 //! fixture name, then the arguments, split on whitespace — and
 //! `tests/transcripts/<name>.txt` holds its expected stdout. The fixtures
 //! were produced by the binary from before the verbs were rebuilt on the
-//! service's typed requests, so they also pin that rebuild.
+//! service's typed requests, so they also pin that rebuild. The
+//! `--cache-stats` lines on stderr are pinned with their exact counts.
 
 use std::path::Path;
 use std::process::Command;
@@ -33,4 +34,36 @@ fn every_invocation_prints_its_fixture() {
         checked += 1;
     }
     assert!(checked >= 12, "only {checked} transcripts");
+}
+
+#[test]
+fn cache_stats_count_the_memos_each_verb_used() {
+    // Each run is a fresh process, so both memos start cold: a sweep runs
+    // the eight dataflow searches once and plans nothing; a plan plans its
+    // layer once and searches nothing.
+    let cases = [
+        (
+            "sweep",
+            "search cache: 0 hits / 8 misses",
+            "plan cache: 0 hits / 0 misses",
+        ),
+        (
+            "plan",
+            "search cache: 0 hits / 0 misses",
+            "plan cache: 0 hits / 1 misses",
+        ),
+    ];
+    for (verb, search, plan) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_clb"))
+            .args([verb, "--co", "64", "--size", "28", "--ci", "32"])
+            .args(["--batch", "1", "--cache-stats", "true"])
+            .output()
+            .expect("run clb");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{verb}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 2, "{verb}: {stderr}");
+        assert!(lines[0].starts_with(search), "{verb}: {stderr}");
+        assert!(lines[1].starts_with(plan), "{verb}: {stderr}");
+    }
 }
